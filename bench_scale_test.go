@@ -9,17 +9,13 @@ import (
 	"repro/internal/platform"
 	"repro/internal/sched/jdp"
 	"repro/internal/sched/minmin"
-	"repro/internal/sched/shard"
 	"repro/internal/workload"
 )
 
 // scaleTiers sweeps task decades over the paper's IMAGE workload with a
 // patient pool and cluster that grow with the batch, topping out at the
 // DESIGN §14 target shape: 100k tasks over ~10k files (74 patients x
-// 136 files) on 1k compute nodes. High overlap keeps each patient's
-// file region disjoint from the others', so the 100k batch decomposes
-// into ~74 independent components — exactly the structure the shard
-// scheduler exploits.
+// 136 files) on 1k compute nodes.
 var scaleTiers = []struct {
 	tasks, patients, nodes int
 }{
@@ -47,25 +43,19 @@ func scaleProblem(b *testing.B, tasks, patients, nodes int) *core.Problem {
 
 // BenchmarkScale is the full-pipeline (plan + execute) sweep: one run
 // per tier per scheme, reporting simulated makespan alongside wall
-// time. The +shard arms plan per file-sharing component concurrently;
-// their output is byte-identical at any worker count (pinned by
-// TestWorkerInvariance in internal/sched/shard). `make bench-scale`
-// parses this plus BenchmarkScalePlan into BENCH_scale.json.
+// time. `make bench-scale` parses this plus BenchmarkScalePlan into
+// BENCH_scale.json.
 func BenchmarkScale(b *testing.B) {
 	schemes := []struct {
 		name     string
 		maxTasks int
 		mk       func() core.Scheduler
 	}{
-		// Unsharded MinMin stops at 10k: its heap still pays an O(C)
-		// re-verify per invalidated entry, and at 1k nodes the 100k
-		// tier needs ~25 CPU-minutes. The +shard arm is the designated
-		// 100k path — per-patient components plan concurrently on all
-		// cores (workers<=0 means GOMAXPROCS).
+		// MinMin stops at 10k: its heap still pays an O(C) re-verify
+		// per invalidated entry, and at 1k nodes the 100k tier needs
+		// ~25 CPU-minutes.
 		{"MinMin", 10_000, func() core.Scheduler { return minmin.New() }},
-		{"MinMin+shard", 100_000, func() core.Scheduler { return shard.New(minmin.New(), 0) }},
 		{"JobDataPresent", 100_000, func() core.Scheduler { return jdp.New() }},
-		{"JobDataPresent+shard", 100_000, func() core.Scheduler { return shard.New(jdp.New(), 0) }},
 	}
 	for _, scheme := range schemes {
 		for _, tier := range scaleTiers {
@@ -88,10 +78,9 @@ func BenchmarkScale(b *testing.B) {
 // arms: the naive JDP re-scans every cluster node per (task,file)
 // availability probe (~18x slower at the 10k tier), and naive MinMin
 // re-runs an O(T·C) argmin per committed task, which extrapolates to
-// hours at 100k. The MinMin arms both stop at 10k — the sequential
-// incremental planner still pays an O(C) re-verify per invalidated
-// heap entry, so its 100k/1k-node answer is the sharded arm in
-// BenchmarkScale, not an unsharded plan.
+// hours at 100k. The MinMin arms both stop at 10k — the incremental
+// planner still pays an O(C) re-verify per invalidated heap entry, so
+// MinMin has no 100k/1k-node tier yet.
 func BenchmarkScalePlan(b *testing.B) {
 	schemes := []struct {
 		name     string

@@ -162,7 +162,7 @@ func runScheduler(b *testing.B, p *core.Problem, s core.Scheduler, metric string
 	b.Helper()
 	var last float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(p, s)
+		res, err := core.RunWith(p, s, core.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -77,7 +77,6 @@ import (
 	"repro/internal/sched/ipsched"
 	"repro/internal/sched/jdp"
 	"repro/internal/sched/minmin"
-	"repro/internal/sched/shard"
 	"repro/internal/spec"
 	"repro/internal/workload"
 )
@@ -96,7 +95,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	verbose := flag.Bool("v", false, "print workload statistics")
 	workers := flag.Int("workers", 0, "solver parallelism (0 = all CPUs, 1 = sequential)")
-	useShard := flag.Bool("shard", false, "plan file-sharing components concurrently (-workers deep; unlimited disk only, falls back otherwise)")
 	faultSpec := flag.String("faults", "", "failure scenario: none, mild, harsh, or key=value pairs (e.g. harsh,seed=7)")
 	specSpec := flag.String("speculate", "", "speculation policy: never, fixed-factor[:F], or single-fork[:Q] (needs -faults)")
 	obsTrace := flag.String("obs-trace", "", "write a Chrome trace-event JSON of the run (view in Perfetto)")
@@ -201,9 +199,6 @@ func main() {
 		sched = jdp.New()
 	default:
 		fatal("unknown scheduler %q", *schedName)
-	}
-	if *useShard {
-		sched = shard.New(sched, *workers)
 	}
 
 	p := &core.Problem{Batch: b, Platform: pf, DisableReplication: *noRep}

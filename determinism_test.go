@@ -86,7 +86,7 @@ func TestSchedulersDeterministicWithWorkers(t *testing.T) {
 			if err := p.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			res, err := core.Run(p, s.make())
+			res, err := core.RunWith(p, s.make(), core.RunOptions{})
 			if err != nil {
 				t.Fatalf("%s: %v", s.name, err)
 			}

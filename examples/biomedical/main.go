@@ -41,7 +41,7 @@ func main() {
 
 	for _, s := range []core.Scheduler{bipart.New(5), minmin.New(), jdp.New()} {
 		p := &core.Problem{Batch: b, Platform: platform.XIO(4, 4, perNode)}
-		res, err := core.Run(p, s)
+		res, err := core.RunWith(p, s, core.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

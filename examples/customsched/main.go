@@ -76,7 +76,7 @@ func main() {
 		// A cluster whose compute fabric is modest (50 MB/s), so every
 		// redundant replica costs real time.
 		p := &core.Problem{Batch: b, Platform: platform.Uniform(6, 4, 0, 25*platform.MB, 50*platform.MB)}
-		res, err := core.Run(p, s)
+		res, err := core.RunWith(p, s, core.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

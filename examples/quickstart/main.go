@@ -33,7 +33,7 @@ func main() {
 	pf := platform.Uniform(3, 2, platform.GB, 50*platform.MB, 500*platform.MB)
 
 	problem := &core.Problem{Batch: b, Platform: pf}
-	result, err := core.Run(problem, bipart.New(1))
+	result, err := core.RunWith(problem, bipart.New(1), core.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func main() {
 
 	fmt.Printf("%-16s %14s %14s %10s %10s\n", "scheduler", "batch time (s)", "sched time", "remote", "replicas")
 	for _, s := range schedulers {
-		res, err := core.Run(&core.Problem{Batch: b, Platform: pf()}, s)
+		res, err := core.RunWith(&core.Problem{Batch: b, Platform: pf()}, s, core.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -32,7 +32,7 @@ func smallProblem(t *testing.T, diskSpace int64) *core.Problem {
 func TestRunUnlimitedDisk(t *testing.T) {
 	p := smallProblem(t, 0)
 	for _, s := range schedulers() {
-		res, err := core.RunChecked(p, s)
+		res, err := core.RunWith(p, s, core.RunOptions{Checked: true})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -51,20 +51,25 @@ func TestRunUnlimitedDisk(t *testing.T) {
 	}
 }
 
-func TestRunLimitedDiskForcesSubBatches(t *testing.T) {
-	// Per-node disk that cannot hold the whole working set at once.
+// limitedDiskProblem gives each of 3 nodes a disk that cannot hold the
+// whole working set at once: together they hold half of it.
+func limitedDiskProblem(t *testing.T) *core.Problem {
+	t.Helper()
 	b, err := workload.Sat(workload.SatConfig{NumTasks: 30, Overlap: workload.LowOverlap, NumStorage: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := b.TotalUniqueBytes(nil)
-	per := total / 6 // 3 nodes → aggregate half the working set
-	p := &core.Problem{Batch: b, Platform: platform.XIO(3, 2, per)}
+	p := &core.Problem{Batch: b, Platform: platform.XIO(3, 2, b.TotalUniqueBytes(nil)/6)}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	return p
+}
+
+func TestRunLimitedDiskForcesSubBatches(t *testing.T) {
+	p := limitedDiskProblem(t)
 	for _, s := range schedulers() {
-		res, err := core.RunChecked(p, s)
+		res, err := core.RunWith(p, s, core.RunOptions{Checked: true})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -77,11 +82,40 @@ func TestRunLimitedDiskForcesSubBatches(t *testing.T) {
 	}
 }
 
+// TestRunFromReportsOwnEvictions chains two runs over one warm State:
+// each Result must count only the evictions its own run made, so the
+// two add up to the State's lifetime total.
+func TestRunFromReportsOwnEvictions(t *testing.T) {
+	p := limitedDiskProblem(t)
+	all := p.Batch.AllTasks()
+	for _, s := range schedulers() {
+		st, err := core.NewState(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := core.RunFrom(st, s, all[:len(all)/2], core.RunOptions{Checked: true})
+		if err != nil {
+			t.Fatalf("%s first half: %v", s.Name(), err)
+		}
+		second, err := core.RunFrom(st, s, all[len(all)/2:], core.RunOptions{Checked: true})
+		if err != nil {
+			t.Fatalf("%s second half: %v", s.Name(), err)
+		}
+		if first.Evictions == 0 {
+			t.Fatalf("%s: the first half evicted nothing; the disk limit does not bind", s.Name())
+		}
+		if got := first.Evictions + second.Evictions; got != st.Evictions {
+			t.Errorf("%s: first %d + second %d evictions = %d, state counted %d",
+				s.Name(), first.Evictions, second.Evictions, got, st.Evictions)
+		}
+	}
+}
+
 func TestRunDisableReplication(t *testing.T) {
 	p := smallProblem(t, 0)
 	p.DisableReplication = true
 	for _, s := range schedulers() {
-		res, err := core.RunChecked(p, s)
+		res, err := core.RunWith(p, s, core.RunOptions{Checked: true})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -104,11 +138,11 @@ func TestReplicationReducesMakespanOnSlowStorage(t *testing.T) {
 	with := &core.Problem{Batch: b, Platform: pf}
 	without := &core.Problem{Batch: b, Platform: pf, DisableReplication: true}
 	s := bipart.New(5)
-	rw, err := core.RunChecked(with, s)
+	rw, err := core.RunWith(with, s, core.RunOptions{Checked: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rwo, err := core.RunChecked(without, s)
+	rwo, err := core.RunWith(without, s, core.RunOptions{Checked: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,70 +91,11 @@ func (s *ExecStats) Add(o *ExecStats) {
 // the disk cache, task completion is marked, and the state clock
 // advances by the sub-batch makespan.
 func Execute(st *State, plan *SubPlan) (*ExecStats, error) {
-	stats, _, err := ExecuteObserved(st, plan, false, obs.Nop)
-	return stats, err
-}
-
-// ExecuteTraced is Execute plus a full gantt.Schedule record of what
-// was committed — every port timeline, staging event and task
-// execution — so callers can run gantt's post-hoc invariant checker
-// (no port overlap, disk capacity respected, inputs staged before
-// start) against the exact schedule the runtime stage produced.
-func ExecuteTraced(st *State, plan *SubPlan) (*ExecStats, *gantt.Schedule, error) {
-	return ExecuteObserved(st, plan, true, obs.Nop)
-}
-
-// ExecuteObserved is the general runtime-stage entry point: traced
-// selects the gantt.Schedule record (nil otherwise), and tr receives
-// one simulated-time span per committed port reservation — remote
-// transfers on the storage/compute/link tracks, replica transfers on
-// both compute tracks, task executions on their node's track — with
-// absolute batch timestamps. Observation never alters the schedule.
-func ExecuteObserved(st *State, plan *SubPlan, traced bool, tr obs.Tracer) (*ExecStats, *gantt.Schedule, error) {
-	e, err := newExecutor(st, plan, traced, tr, nil, 0, nil)
+	e, err := newExecutor(st, plan, false, obs.Nop, nil, 0, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	stats, err := e.run()
-	if err != nil {
-		return nil, nil, err
-	}
-	return stats, e.trace, nil
-}
-
-// ExecuteFaulty is ExecuteObserved under a deterministic fault
-// injector: transfer attempts may fail and retry with capped
-// exponential backoff (preferring a surviving replica source over the
-// storage cluster), node crashes interrupt work and drop disk caches
-// at the sub-batch boundary, and stragglers stretch executions. round
-// is the sub-batch ordinal, part of every failure's hashed identity.
-// Tasks whose in-sub-batch recovery exhausted its budget are returned
-// in requeued — still pending, for the caller to re-plan. A nil
-// injector makes this identical to ExecuteObserved.
-func ExecuteFaulty(st *State, plan *SubPlan, traced bool, tr obs.Tracer, inj *faults.Injector, round int) (*ExecStats, *gantt.Schedule, []batch.TaskID, error) {
-	return ExecuteSpec(st, plan, traced, tr, inj, round, nil)
-}
-
-// ExecuteSpec is ExecuteFaulty plus a speculative-execution policy:
-// when a committed task's stretched execution would run past the
-// policy's elapsed-time threshold (the watchdog), a duplicate attempt
-// is forked on the best other compute node — preferring nodes whose
-// disks already cache the inputs, falling back to the cheapest
-// staging — the first finisher wins, and the loser is cancelled
-// deterministically (tag-3 burns for its occupied port time,
-// in-flight stagings rolled back through State). A nil or inactive
-// policy, or a nil injector, takes the exact ExecuteFaulty code
-// paths.
-func ExecuteSpec(st *State, plan *SubPlan, traced bool, tr obs.Tracer, inj *faults.Injector, round int, pol *spec.Policy) (*ExecStats, *gantt.Schedule, []batch.TaskID, error) {
-	e, err := newExecutor(st, plan, traced, tr, inj, round, pol)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	stats, err := e.run()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return stats, e.trace, e.requeued, nil
+	return e.run()
 }
 
 // transfer tags recorded in Gantt intervals, for debugging and tests.
@@ -256,6 +197,14 @@ type executor struct {
 	drainLeft int
 }
 
+// newExecutor prepares one sub-batch for the runtime stage. traced
+// records the committed schedule in e.trace for gantt validation, and
+// tr receives one simulated-time span per committed reservation. A
+// non-nil inj injects transfer failures, crashes and stragglers (round,
+// the sub-batch ordinal, is part of every failure's hashed identity);
+// tasks a fault aborted are collected in e.requeued for the caller to
+// re-plan. pol forks speculative twins of straggling executions. Nil
+// inj and pol take the exact fault-free code paths.
 func newExecutor(st *State, plan *SubPlan, traced bool, tr obs.Tracer, inj *faults.Injector, round int, pol *spec.Policy) (*executor, error) {
 	if len(plan.Tasks) == 0 {
 		return nil, fmt.Errorf("core: empty sub-batch plan")

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -89,7 +90,7 @@ func TestChaosRecoversThroughRetries(t *testing.T) {
 func TestChaosCrashRecovery(t *testing.T) {
 	p := smallProblem(t, 0)
 	s := schedulers()[0]
-	base, err := core.Run(p, s)
+	base, err := core.RunWith(p, s, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +169,11 @@ func TestRunFromSkipsDoneAndDuplicates(t *testing.T) {
 	dirty := make([]batch.TaskID, 0, 2*len(all))
 	dirty = append(dirty, all...)  // includes the 3 done tasks
 	dirty = append(dirty, rest...) // and every remaining task twice
-	got, err := core.RunFrom(stDirty, s, dirty)
+	got, err := core.RunFrom(stDirty, s, dirty, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.RunFrom(stClean, s, rest)
+	want, err := core.RunFrom(stClean, s, rest, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,38 +185,73 @@ func TestRunFromSkipsDoneAndDuplicates(t *testing.T) {
 
 // TestResultJSONRoundTrip pins that every Result field — including
 // the fault/recovery counters and the status — survives JSON
-// marshalling, so persisted chaos reports are lossless.
+// marshalling, so persisted chaos reports are lossless, and that the
+// embedded ExecStats keeps the report one flat object.
 func TestResultJSONRoundTrip(t *testing.T) {
 	in := &core.Result{
-		Scheduler:        "test",
-		Status:           core.StatusDegraded,
-		Makespan:         123.5,
-		SchedulingTime:   1500 * time.Microsecond,
-		SubBatches:       3,
-		TaskCount:        24,
-		RemoteTransfers:  7,
-		RemoteBytes:      1 << 30,
-		ReplicaTransfers: 5,
-		ReplicaBytes:     1 << 20,
-		Evictions:        2,
-		StorageBusy:      55.25,
-		ComputeBusy:      99.75,
-		TransferFailures: 4, TransferRetries: 3, ReplicaRecoveries: 2,
-		Crashes: 1, Stragglers: 6, RequeuedTasks: 2, DegradedTasks: 1,
-		WastedSeconds: 12.125,
-		SpecLaunches:  5, SpecWins: 3, SpecCancels: 5, SpecSaved: 1,
-		SpecWastedSeconds: 7.25,
+		Scheduler:      "test",
+		Status:         core.StatusDegraded,
+		SchedulingTime: 1500 * time.Microsecond,
+		SubBatches:     3,
+		TaskCount:      24,
+		Evictions:      2,
+		DegradedTasks:  1,
+		ExecStats: core.ExecStats{
+			Makespan:         123.5,
+			TasksRun:         23,
+			RemoteTransfers:  7,
+			RemoteBytes:      1 << 30,
+			ReplicaTransfers: 5,
+			ReplicaBytes:     1 << 20,
+			StorageBusy:      55.25,
+			ComputeBusy:      99.75,
+			TransferFailures: 4, TransferRetries: 3, ReplicaRecoveries: 2,
+			Crashes: 1, Stragglers: 6, RequeuedTasks: 2,
+			WastedSeconds: 12.125,
+			SpecLaunches:  5, SpecWins: 3, SpecCancels: 5, SpecSaved: 1,
+			SpecWastedSeconds: 7.25,
+		},
 	}
-	// Every field set: catch future additions that forget this test.
-	v := reflect.ValueOf(*in)
-	for i := 0; i < v.NumField(); i++ {
-		if v.Field(i).IsZero() {
-			t.Fatalf("field %s left at zero value; set it so the round trip is meaningful", v.Type().Field(i).Name)
+	// Every field set, promoted ones included: catch future additions
+	// that forget this test.
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if f.Anonymous {
+				walk(v.Field(i))
+				continue
+			}
+			if v.Field(i).IsZero() {
+				t.Fatalf("field %s left at zero value; set it so the round trip is meaningful", f.Name)
+			}
 		}
 	}
+	walk(reflect.ValueOf(*in))
 	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Flat, with exactly the keys Result had before it embedded
+	// ExecStats plus TasksRun.
+	var flat map[string]json.RawMessage
+	if err := json.Unmarshal(data, &flat); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"Scheduler", "Status", "Makespan", "SchedulingTime", "SubBatches", "TaskCount",
+		"RemoteTransfers", "RemoteBytes", "ReplicaTransfers", "ReplicaBytes", "Evictions",
+		"StorageBusy", "ComputeBusy", "TransferFailures", "TransferRetries", "ReplicaRecoveries",
+		"Crashes", "Stragglers", "RequeuedTasks", "DegradedTasks", "WastedSeconds",
+		"SpecLaunches", "SpecWins", "SpecCancels", "SpecSaved", "SpecWastedSeconds",
+		"TasksRun"}
+	sort.Strings(want)
+	got := make([]string, 0, len(flat))
+	for k := range flat {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("JSON keys changed:\n got: %v\nwant: %v", got, want)
 	}
 	out := &core.Result{}
 	if err := json.Unmarshal(data, out); err != nil {

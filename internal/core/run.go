@@ -30,44 +30,24 @@ type Result struct {
 	// Status is StatusComplete unless fault injection exhausted some
 	// task's retry budget (then StatusDegraded).
 	Status RunStatus
-	// Makespan is the total simulated batch execution time in seconds
-	// (sum of sub-batch makespans; sub-batches run back to back).
-	Makespan float64
 	// SchedulingTime is the real wall-clock time the scheduler spent
 	// planning (the paper's scheduling overhead; Figure 6(b) reports
 	// it per task).
 	SchedulingTime time.Duration
 	SubBatches     int
 	TaskCount      int
-
-	RemoteTransfers  int
-	RemoteBytes      int64
-	ReplicaTransfers int
-	ReplicaBytes     int64
-	Evictions        int
-
-	StorageBusy float64
-	ComputeBusy float64
-
-	// Fault/recovery accounting, all zero on fault-free runs.
-	TransferFailures  int
-	TransferRetries   int
-	ReplicaRecoveries int
-	Crashes           int
-	Stragglers        int
-	RequeuedTasks     int
+	// Evictions counts the file copies this run's eviction policy
+	// removed (not any earlier run's on the same State).
+	Evictions int
 	// DegradedTasks counts tasks abandoned after their retry budget
 	// was exhausted; they are not executed and not counted in TasksRun.
 	DegradedTasks int
-	WastedSeconds float64
 
-	// Speculative-execution accounting, all zero unless RunOptions.Spec
-	// forked duplicate attempts.
-	SpecLaunches      int
-	SpecWins          int
-	SpecCancels       int
-	SpecSaved         int
-	SpecWastedSeconds float64
+	// ExecStats sums the runtime stage's per-sub-batch statistics.
+	// Sub-batches run back to back, so Makespan is the total simulated
+	// batch execution time in seconds. Its fields are promoted, so
+	// Result marshals to one flat JSON object.
+	ExecStats
 }
 
 // SchedulingMSPerTask returns the paper's Figure 6(b) metric.
@@ -103,9 +83,15 @@ type Observer struct {
 
 // RunOptions bundles the optional behaviors of a run: post-hoc
 // schedule validation, observability sinks, and fault injection. The
-// zero value reproduces plain Run exactly.
+// zero value runs the plain pipeline.
 type RunOptions struct {
-	// Checked enables the gantt schedule validator per sub-batch.
+	// Checked enables the gantt schedule validator: every sub-batch's
+	// committed schedule is re-checked post hoc (no port reservation
+	// overlap, disk capacity never exceeded, every input file staged
+	// before its task starts) and any violation aborts the run with an
+	// error naming it. Tests use this so that scheduler bugs surface as
+	// invariant violations instead of silently wrong makespans; it
+	// costs one event record per transfer/task.
 	Checked bool
 	// Obs attaches tracing/metrics sinks.
 	Obs Observer
@@ -122,84 +108,31 @@ type RunOptions struct {
 	Spec *spec.Policy
 }
 
-// RunWith is Run with explicit options.
+// RunWith executes the complete three-stage pipeline of the paper: the
+// scheduler repeatedly selects and maps a sub-batch of the pending
+// tasks (stages 1–2), the §6 runtime stage executes it on the
+// simulated platform (stage 3), and the scheduler's eviction policy
+// frees compute-cluster disk before the next round. RunWith returns
+// the accumulated result once every task has executed.
 func RunWith(p *Problem, s Scheduler, opt RunOptions) (*Result, error) {
 	st, err := NewState(p)
 	if err != nil {
 		return nil, err
 	}
-	return runFrom(st, s, p.Batch.AllTasks(), opt)
+	return RunFrom(st, s, p.Batch.AllTasks(), opt)
 }
 
-// RunFromWith is RunFrom with explicit options.
-func RunFromWith(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*Result, error) {
-	return runFrom(st, s, pending, opt)
-}
-
-// Run executes the complete three-stage pipeline of the paper: the
-// scheduler repeatedly selects and maps a sub-batch of the pending
-// tasks (stages 1–2), the §6 runtime stage executes it on the
-// simulated platform (stage 3), and the scheduler's eviction policy
-// frees compute-cluster disk before the next round. Run returns the
-// accumulated result once every task has executed.
-func Run(p *Problem, s Scheduler) (*Result, error) {
-	st, err := NewState(p)
-	if err != nil {
-		return nil, err
-	}
-	return RunFrom(st, s, p.Batch.AllTasks())
-}
-
-// RunObserved is Run with an Observer attached: the tracer records
-// every pipeline phase (plan, execute, evict, plus the simulated
-// transfer/task reservations) and the metrics registry accumulates
-// phase latencies and transfer totals. The committed schedule is
-// identical to Run's.
-func RunObserved(p *Problem, s Scheduler, ob Observer) (*Result, error) {
-	st, err := NewState(p)
-	if err != nil {
-		return nil, err
-	}
-	return runFrom(st, s, p.Batch.AllTasks(), RunOptions{Obs: ob})
-}
-
-// RunChecked is Run with the gantt schedule validator enabled: every
-// sub-batch's committed schedule is re-checked post hoc (no port
-// reservation overlap, disk capacity never exceeded, every input file
-// staged before its task starts) and any violation aborts the run with
-// an error naming it. Tests use this so that scheduler bugs surface as
-// invariant violations instead of silently wrong makespans; it costs
-// one event record per transfer/task, so production paths stick to
-// Run.
-func RunChecked(p *Problem, s Scheduler) (*Result, error) {
-	st, err := NewState(p)
-	if err != nil {
-		return nil, err
-	}
-	return RunFromChecked(st, s, p.Batch.AllTasks())
-}
-
-// RunFrom is Run starting from an existing cluster state and an
+// RunFrom is RunWith starting from an existing cluster state and an
 // explicit pending-task set, allowing callers to chain batches over a
 // warm disk cache. Task IDs already completed in st, and duplicate
 // IDs, are skipped rather than double-executed — recovery re-queueing
 // feeds this path and hand-built resume lists may contain both.
-func RunFrom(st *State, s Scheduler, pending []batch.TaskID) (*Result, error) {
-	return runFrom(st, s, pending, RunOptions{})
-}
-
-// RunFromChecked is RunFrom with the gantt schedule validator enabled.
-func RunFromChecked(st *State, s Scheduler, pending []batch.TaskID) (*Result, error) {
-	return runFrom(st, s, pending, RunOptions{Checked: true})
-}
-
-func runFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*Result, error) {
+func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*Result, error) {
 	if err := opt.Faults.Validate(); err != nil {
 		return nil, err
 	}
 	inj := faults.NewInjector(opt.Faults, st.P.Platform.NumCompute())
 	ob := opt.Obs
-	checked := opt.Checked
 	tr := obs.OrNop(ob.Trace)
 	if tr.Enabled() {
 		tr.NameTrack(obs.DomainReal, obs.TrackSched, "scheduler ("+s.Name()+")")
@@ -228,6 +161,9 @@ func runFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 	st.JRound = res.SubBatches
 	j.Emit(journal.Event{T: st.Clock, Kind: journal.KindRunStart,
 		Run: &journal.Run{Sched: s.Name(), Tasks: len(pending)}})
+	// st.Evictions counts over the State's whole life; a chained run
+	// reports only its own share.
+	evictionsBefore := st.Evictions
 	// Per-task re-queue counts against the fault-recovery budget.
 	var attempts map[batch.TaskID]int
 	budget := 0
@@ -235,7 +171,6 @@ func runFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 		attempts = make(map[batch.TaskID]int)
 		budget = inj.TaskRetryBudget()
 	}
-	var agg ExecStats
 	for len(pending) > 0 {
 		st.JRound = res.SubBatches
 		endPlan := tr.Span(obs.TrackSched, "phase", "plan",
@@ -266,9 +201,13 @@ func runFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 		clockBefore := st.Clock
 		endExec := tr.Span(obs.TrackSched, "phase", "execute",
 			obs.A("tasks", len(plan.Tasks)))
-		stats, sched, requeued, err := ExecuteSpec(st, plan, checked, tr, inj, res.SubBatches, opt.Spec)
-		if err == nil && checked {
-			err = sched.Err()
+		e, err := newExecutor(st, plan, opt.Checked, tr, inj, res.SubBatches, opt.Spec)
+		var stats *ExecStats
+		if err == nil {
+			stats, err = e.run()
+		}
+		if err == nil && opt.Checked {
+			err = e.trace.Err()
 		}
 		endExec()
 		if err != nil {
@@ -283,7 +222,7 @@ func runFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 				obs.A("replica_transfers", stats.ReplicaTransfers))
 		}
 		res.SubBatches++
-		agg.Add(stats)
+		res.ExecStats.Add(stats)
 
 		// Completed tasks leave the pending set; fault-interrupted ones
 		// stay pending (they were not marked Done) until their re-queue
@@ -294,7 +233,7 @@ func runFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 				delete(pendingSet, t)
 			}
 		}
-		for _, t := range requeued {
+		for _, t := range e.requeued {
 			attempts[t]++
 			if attempts[t] > budget {
 				delete(pendingSet, t)
@@ -326,26 +265,7 @@ func runFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 			endEvict()
 		}
 	}
-	res.Makespan = agg.Makespan
-	res.RemoteTransfers = agg.RemoteTransfers
-	res.RemoteBytes = agg.RemoteBytes
-	res.ReplicaTransfers = agg.ReplicaTransfers
-	res.ReplicaBytes = agg.ReplicaBytes
-	res.StorageBusy = agg.StorageBusy
-	res.ComputeBusy = agg.ComputeBusy
-	res.TransferFailures = agg.TransferFailures
-	res.TransferRetries = agg.TransferRetries
-	res.ReplicaRecoveries = agg.ReplicaRecoveries
-	res.Crashes = agg.Crashes
-	res.Stragglers = agg.Stragglers
-	res.RequeuedTasks = agg.RequeuedTasks
-	res.WastedSeconds = agg.WastedSeconds
-	res.SpecLaunches = agg.SpecLaunches
-	res.SpecWins = agg.SpecWins
-	res.SpecCancels = agg.SpecCancels
-	res.SpecSaved = agg.SpecSaved
-	res.SpecWastedSeconds = agg.SpecWastedSeconds
-	res.Evictions = st.Evictions
+	res.Evictions = st.Evictions - evictionsBefore
 	if inj != nil && opt.Spec.Active() {
 		ob.Metrics.Count("core.spec.launches", int64(res.SpecLaunches))
 		ob.Metrics.Count("core.spec.wins", int64(res.SpecWins))

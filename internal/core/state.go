@@ -177,19 +177,6 @@ func (s *State) DropNode(n int) int {
 	return dropped
 }
 
-// PlanView returns a shallow planning view of the state: it shares the
-// placement tables (holds, used, recency, Done) read-only but carries
-// its own journal recorder, so independent sub-problems can be planned
-// concurrently with private journals and merged deterministically
-// afterwards. PlanSubBatch implementations never mutate State, which
-// is what makes the sharing sound; the view must not outlive the
-// planning call.
-func (s *State) PlanView(j *journal.Recorder) *State {
-	v := *s
-	v.J = j
-	return &v
-}
-
 // PresentMatrix returns a copy of the holds matrix, for scheduler
 // formulations that need the full placement snapshot.
 func (s *State) PresentMatrix() [][]bool {

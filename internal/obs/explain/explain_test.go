@@ -28,7 +28,7 @@ func recoveryJournal(t *testing.T, s core.Scheduler) (*explain.Journal, *core.Re
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	base, err := core.Run(p, s)
+	base, err := core.RunWith(p, s, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func TestFullRunUnderPressure(t *testing.T) {
 	}
 	per := b.TotalUniqueBytes(nil) / 6
 	p := &core.Problem{Batch: b, Platform: platform.XIO(3, 2, per)}
-	res, err := core.RunChecked(p, New(7))
+	res, err := core.RunWith(p, New(7), core.RunOptions{Checked: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestIPRunsUnlimited(t *testing.T) {
 	p := tinyProblem(t, 10, workload.HighOverlap, 0)
 	s := New(1)
 	s.AllocBudget = 5 * time.Second
-	res, err := core.RunChecked(p, s)
+	res, err := core.RunWith(p, s, core.RunOptions{Checked: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +96,12 @@ func TestIPBeatsOrMatchesHeuristicsOnSharedTiny(t *testing.T) {
 	p := tinyProblem(t, 12, workload.HighOverlap, 0)
 	ip := New(3)
 	ip.AllocBudget = 10 * time.Second
-	resIP, err := core.RunChecked(p, ip)
+	resIP, err := core.RunWith(p, ip, core.RunOptions{Checked: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []core.Scheduler{minmin.New(), jdp.New(), bipart.New(4)} {
-		res, err := core.RunChecked(p, s)
+		res, err := core.RunWith(p, s, core.RunOptions{Checked: true})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -124,7 +124,7 @@ func TestIPLimitedDiskTwoStage(t *testing.T) {
 	s := New(6)
 	s.AllocBudget = 5 * time.Second
 	s.SelectBudget = 5 * time.Second
-	res, err := core.RunChecked(p, s)
+	res, err := core.RunWith(p, s, core.RunOptions{Checked: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestIPDisableReplication(t *testing.T) {
 	p.DisableReplication = true
 	s := New(7)
 	s.AllocBudget = 5 * time.Second
-	res, err := core.RunChecked(p, s)
+	res, err := core.RunWith(p, s, core.RunOptions{Checked: true})
 	if err != nil {
 		t.Fatal(err)
 	}

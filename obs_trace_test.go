@@ -82,7 +82,7 @@ func TestTraceGolden(t *testing.T) {
 				sched = ss.sched
 			}
 		}
-		if _, err := core.RunObserved(traceProblem(t), sched, core.Observer{Trace: tr}); err != nil {
+		if _, err := core.RunWith(traceProblem(t), sched, core.RunOptions{Obs: core.Observer{Trace: tr}}); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
 		var buf bytes.Buffer
@@ -115,7 +115,7 @@ func TestTraceGolden(t *testing.T) {
 // Observation is write-only by construction; this test keeps it so.
 func TestObservedRunIdenticalToPlain(t *testing.T) {
 	for _, plain := range traceSchedulers(nil) {
-		res0, err := core.Run(traceProblem(t), plain.sched)
+		res0, err := core.RunWith(traceProblem(t), plain.sched, core.RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: plain: %v", plain.name, err)
 		}
@@ -127,7 +127,7 @@ func TestObservedRunIdenticalToPlain(t *testing.T) {
 				sched = ss.sched
 			}
 		}
-		res1, err := core.RunObserved(traceProblem(t), sched, core.Observer{Trace: tr, Metrics: met})
+		res1, err := core.RunWith(traceProblem(t), sched, core.RunOptions{Obs: core.Observer{Trace: tr, Metrics: met}})
 		if err != nil {
 			t.Fatalf("%s: observed: %v", plain.name, err)
 		}
