@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build vet lint test race fuzz-short chaos spec-chaos explain-check verify bench bench-scale bench-all bench-parallel profile figures clean
+.PHONY: all help build vet lint test bench-test race fuzz-short chaos spec-chaos explain-check verify bench bench-scale bench-all bench-parallel profile figures clean
 
 all: verify
 
@@ -11,6 +11,7 @@ help:
 	@echo "  make vet           - go vet"
 	@echo "  make lint          - run schedlint -strict (7 checks + suppression-hygiene audit)"
 	@echo "  make test          - unit tests"
+	@echo "  make bench-test    - the benchmark module's own tests (bench/ is a nested module)"
 	@echo "  make race          - unit tests under the race detector"
 	@echo "  make fuzz-short    - one short iteration of each fuzz target"
 	@echo "  make chaos         - fault-injection suite under -race + the chaos matrix"
@@ -40,6 +41,10 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# bench/ is its own Go module, so the root `go test ./...` skips it.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # The parallel solver core (mip portfolio, concurrent hypergraph
 # recursion, experiment fan-out) makes the race detector part of the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -50,6 +49,16 @@ type ExecStats struct {
 	SpecCancels       int     // losing attempts cancelled (one per launch)
 	SpecSaved         int     // twin wins whose primary was crash-killed
 	SpecWastedSeconds float64 // port seconds burnt by losing speculative attempts
+
+	// Source-search accounting for the §6 staging loop. Probes counts
+	// the bestSource searches run; ProbeReuses counts the ones skipped
+	// because an earlier search's answer was still exact (a greedy
+	// winner staged from the slot its probe found, or a commit-epoch
+	// memo hit). Their sum is the search count without reuse.
+	// ECTReevals counts stale ECT-heap entries re-evaluated.
+	Probes      int
+	ProbeReuses int
+	ECTReevals  int
 }
 
 // Add folds o into s. Every field is a plain sum, so aggregation is
@@ -77,6 +86,9 @@ func (s *ExecStats) Add(o *ExecStats) {
 	s.SpecCancels += o.SpecCancels
 	s.SpecSaved += o.SpecSaved
 	s.SpecWastedSeconds += o.SpecWastedSeconds
+	s.Probes += o.Probes
+	s.ProbeReuses += o.ProbeReuses
+	s.ECTReevals += o.ECTReevals
 }
 
 // Execute runs one sub-batch plan through the §6 runtime stage:
@@ -147,9 +159,19 @@ type executor struct {
 	// between uses instead of reallocated (the probe loop runs millions
 	// of times at scale).
 	tentEnv *schedEnv
-	// remainingBuf backs scheduleTask's missing-file worklist across
+	// remainingBuf backs stageInputs' missing-file worklist across
 	// calls.
 	remainingBuf []batch.FileID
+	// memo caches first-round source probes of tentative evaluations.
+	// Such a probe runs on a freshly cleared overlay, so its answer
+	// depends only on committed state; an entry is valid while its
+	// epoch equals e.epoch, which every commit and pre-stage op bumps.
+	// Only a node running two or more of the plan's tasks
+	// (nodeTasks[n] > 1) can serve one task's probe to another, so
+	// only those nodes fill it.
+	memo      map[stageKey]memoEntry
+	epoch     int
+	nodeTasks []int
 
 	planned map[stageKey]Staging
 
@@ -211,7 +233,7 @@ func newExecutor(st *State, plan *SubPlan, traced bool, tr obs.Tracer, inj *faul
 	}
 	p := st.P
 	e := &executor{st: st, plan: plan, tr: obs.OrNop(tr), round: round, curTask: -1, pol: pol,
-		drainLeft: len(plan.Tasks)}
+		drainLeft: len(plan.Tasks), nodeTasks: make([]int, p.Platform.NumCompute())}
 	if inj != nil {
 		e.inj = inj
 		e.crashRel = make([]float64, p.Platform.NumCompute())
@@ -288,6 +310,7 @@ func newExecutor(st *State, plan *SubPlan, traced bool, tr obs.Tracer, inj *faul
 		if st.Done[t] {
 			return nil, fmt.Errorf("core: task %d already executed", t)
 		}
+		e.nodeTasks[n]++
 	}
 	return e, nil
 }
@@ -303,12 +326,15 @@ type schedEnv struct {
 	// a reused env can clear exactly those instead of rebuilding the
 	// map.
 	dirty []*gantt.Overlay
-	// scratch availability additions (tentative mode only), with
-	// scratchByFile as its per-file ascending-node inverse (the
-	// tentative counterpart of executor.holders).
-	scratch       map[stageKey]float64
-	scratchByFile map[batch.FileID][]int32
-	visiting      map[stageKey]bool
+	// scratch availability additions (tentative mode only). Their
+	// per-file ascending-node inverse (the tentative counterpart of
+	// executor.holders) is scratchPool[scratchIdx[f]]: a reset clears
+	// only the small index map, and the pool's lists are truncated and
+	// reused instead of reallocated.
+	scratch     map[stageKey]float64
+	scratchIdx  map[batch.FileID]int32
+	scratchPool [][]int32
+	visiting    map[stageKey]bool
 	// alts holds the source alternatives bestSource evaluated for the
 	// transfer about to commit (journaled commit mode only); the
 	// commit consumes and clears it.
@@ -335,7 +361,7 @@ func newSchedEnv(e *executor, commit bool) *schedEnv {
 	if !commit {
 		v.overlays = make(map[*gantt.Timeline]*gantt.Overlay)
 		v.scratch = make(map[stageKey]float64)
-		v.scratchByFile = make(map[batch.FileID][]int32)
+		v.scratchIdx = make(map[batch.FileID]int32)
 	}
 	return v
 }
@@ -356,7 +382,7 @@ func (e *executor) tentativeEnv() *schedEnv {
 	}
 	v.dirty = v.dirty[:0]
 	clear(v.scratch)
-	clear(v.scratchByFile)
+	clear(v.scratchIdx)
 	clear(v.visiting)
 	return v
 }
@@ -383,14 +409,32 @@ func (v *schedEnv) setAvail(n int, f batch.FileID, at float64) {
 	}
 	key := stageKey{f, n}
 	if _, ok := v.scratch[key]; !ok {
-		lst := v.scratchByFile[f]
+		pi, ok := v.scratchIdx[f]
+		if !ok {
+			pi = int32(len(v.scratchIdx))
+			v.scratchIdx[f] = pi
+			if int(pi) == len(v.scratchPool) {
+				v.scratchPool = append(v.scratchPool, nil)
+			}
+			v.scratchPool[pi] = v.scratchPool[pi][:0]
+		}
+		lst := v.scratchPool[pi]
 		i := sort.Search(len(lst), func(i int) bool { return lst[i] >= int32(n) })
 		lst = append(lst, 0)
 		copy(lst[i+1:], lst[i:])
 		lst[i] = int32(n)
-		v.scratchByFile[f] = lst
+		v.scratchPool[pi] = lst
 	}
 	v.scratch[key] = at
+}
+
+// scratchHolders returns, in ascending order, the nodes this env has
+// tentatively scheduled to receive f (none in commit mode).
+func (v *schedEnv) scratchHolders(f batch.FileID) []int32 {
+	if pi, ok := v.scratchIdx[f]; ok {
+		return v.scratchPool[pi]
+	}
+	return nil
 }
 
 // addHolder records node n as a committed holder of f, preserving the
@@ -469,42 +513,48 @@ func (v *schedEnv) ensureFile(f batch.FileID, dst int) (float64, error) {
 	// Dynamic choice: min transfer completion time over the remote
 	// source and every node already holding (or scheduled to receive)
 	// the file.
-	bestSrc, _, _ := v.bestSource(f, dst)
-	if bestSrc < 0 {
-		return v.remoteTransfer(f, dst)
-	}
-	srcAt, _ := v.availOn(bestSrc, f)
-	return v.replicaTransfer(f, bestSrc, dst, srcAt)
+	v.e.stats.Probes++
+	return v.stageFrom(f, dst, v.bestSource(f, dst))
+}
+
+// srcChoice is the answer of one source search: the source (-1 = the
+// file's storage home), the earliest common slot start on every port
+// the transfer occupies, and the transfer completion time.
+type srcChoice struct {
+	src        int
+	start, tct float64
+}
+
+// memoEntry is one commit-epoch memo slot (see executor.memo).
+type memoEntry struct {
+	epoch int
+	c     srcChoice
 }
 
 // bestSource evaluates every possible source of file f for node dst
 // against the current Gantt view and returns the one with minimum
 // transfer completion time (src = -1 means remote from the file's
 // storage home), without reserving anything.
-func (v *schedEnv) bestSource(f batch.FileID, dst int) (src int, start, tct float64) {
+func (v *schedEnv) bestSource(f batch.FileID, dst int) srcChoice {
 	pf := v.e.st.P.Platform
 	home := v.e.st.P.Batch.Files[f].Home
 	size := v.e.st.P.Batch.FileSize(f)
-	src = -1
+	src := -1
 	dur := float64(size) / pf.RemoteBW(home, dst)
-	start = v.multiSlot(0, dur, v.remoteResources(home, dst)...)
-	tct = start + dur
+	start := v.multiSlot(0, dur, v.remoteResources(home, dst)...)
+	tct := start + dur
 	record := v.commit && v.e.st.J.Enabled()
 	if record {
 		v.alts = append(v.alts[:0], journal.SourceAlt{Src: -1, TCT: tct})
 	}
 	if v.e.st.P.DisableReplication {
-		return src, start, tct
+		return srcChoice{src, start, tct}
 	}
 	// Visit only the nodes that hold (or are tentatively scheduled to
 	// receive) the file, merging the two ascending holder lists so the
 	// node order — and therefore every tie-break and journal entry — is
 	// exactly the filtered 0..C-1 scan this replaces.
-	hs := v.e.holders[f]
-	var ts []int32
-	if !v.commit {
-		ts = v.scratchByFile[f]
-	}
+	hs, ts := v.e.holders[f], v.scratchHolders(f)
 	hi, ti := 0, 0
 	for hi < len(hs) || ti < len(ts) {
 		var j int
@@ -538,14 +588,134 @@ func (v *schedEnv) bestSource(f batch.FileID, dst int) (src int, start, tct floa
 			src, start, tct = j, rstart, rtct
 		}
 	}
-	return src, start, tct
+	return srcChoice{src, start, tct}
 }
 
-// probeTCT returns the minimum transfer completion time for staging f
-// onto dst against the current view, without reserving.
-func (v *schedEnv) probeTCT(f batch.FileID, dst int) float64 {
-	_, _, tct := v.bestSource(f, dst)
-	return tct
+// probe prices staging f onto dst against the current view. With memo
+// set (only on a tentative env whose view is still the committed
+// state, see executor.memo) it answers from, or fills, the executor's
+// commit-epoch memo.
+func (v *schedEnv) probe(f batch.FileID, dst int, memo bool) srcChoice {
+	e := v.e
+	key := stageKey{f, dst}
+	if memo {
+		if m, ok := e.memo[key]; ok && m.epoch == e.epoch {
+			e.stats.ProbeReuses++
+			if probeReuseCheck != nil {
+				v.checkReuse(f, dst, m.c, true, nil)
+			}
+			return m.c
+		}
+	}
+	e.stats.Probes++
+	c := v.bestSource(f, dst)
+	if memo {
+		if e.memo == nil {
+			e.memo = make(map[stageKey]memoEntry)
+		}
+		e.memo[key] = memoEntry{e.epoch, c}
+	}
+	return c
+}
+
+// probeReuseCheck, when non-nil, receives every reused source choice
+// together with a fresh bestSource over the same view (and, in
+// journaled commit mode, both alternatives lists). Only tests set it,
+// to prove that reuse never changes a bit.
+var probeReuseCheck func(f batch.FileID, dst int, memoHit bool, reused, fresh srcChoice, reusedAlts, freshAlts []journal.SourceAlt)
+
+// checkReuse recomputes the search a reuse skipped and hands both
+// answers to probeReuseCheck.
+func (v *schedEnv) checkReuse(f batch.FileID, dst int, reused srcChoice, memoHit bool, alts []journal.SourceAlt) {
+	fresh := v.bestSource(f, dst)
+	var freshAlts []journal.SourceAlt
+	if v.commit && v.e.st.J.Enabled() {
+		freshAlts = v.alts
+	}
+	probeReuseCheck(f, dst, memoHit, reused, fresh, alts, freshAlts)
+}
+
+// stageInputs makes every file in files available on node dst and
+// returns the latest arrival time. §6 estimates the TCT of every
+// missing file against the current Gantt view, stages the minimum,
+// re-prices the rest, and repeats; since transfers to one node
+// serialize on its port, taking shorter-TCT transfers first is what
+// the greedy order achieves. The winner is staged from the source and
+// slot its probe found: nothing is reserved between the probe and the
+// staging, so searching again would return the same bits. With memo
+// set, the first round's probes (the only ones priced before this
+// pass reserves anything) go through the commit-epoch memo.
+//
+// In pinned (IP-plan) mode the source is dictated and may involve
+// realizing a replication chain, which probing cannot price without
+// side effects, so files are taken in ascending-size order there (the
+// same order min-TCT produces on an otherwise idle port) and staged
+// through ensureFile.
+func (v *schedEnv) stageInputs(files []batch.FileID, dst int, memo bool) (float64, error) {
+	e := v.e
+	remaining := e.remainingBuf[:0]
+	arrival := 0.0
+	for _, f := range files {
+		if at, ok := v.availOn(dst, f); ok {
+			if at > arrival {
+				arrival = at
+			}
+			continue
+		}
+		remaining = append(remaining, f)
+	}
+	pinned := e.plan.Pinned && !v.dynamicOnly
+	record := v.commit && e.st.J.Enabled()
+	var winAlts []journal.SourceAlt
+	for len(remaining) > 0 {
+		best := 0
+		var win srcChoice
+		if pinned {
+			for i := 1; i < len(remaining); i++ {
+				if e.st.P.Batch.FileSize(remaining[i]) < e.st.P.Batch.FileSize(remaining[best]) {
+					best = i
+				}
+			}
+		} else {
+			for i, f := range remaining {
+				if c := v.probe(f, dst, memo); i == 0 || c.tct < win.tct {
+					best, win = i, c
+					if record {
+						winAlts = append(winAlts[:0], v.alts...)
+					}
+				}
+			}
+		}
+		f := remaining[best]
+		remaining = append(remaining[:best], remaining[best+1:]...)
+		var at float64
+		var err error
+		if pinned {
+			at, err = v.ensureFile(f, dst)
+		} else {
+			e.stats.ProbeReuses++
+			if probeReuseCheck != nil {
+				v.checkReuse(f, dst, win, false, winAlts)
+			}
+			if record {
+				// emitStage hands the list to the journal, so the next
+				// winner needs a fresh one.
+				v.alts, winAlts = winAlts, nil
+			}
+			at, err = v.stageFrom(f, dst, win)
+		}
+		if err != nil {
+			e.remainingBuf = remaining[:0]
+			return 0, err
+		}
+		if at > arrival {
+			arrival = at
+		}
+		// Later rounds see this pass's tentative reservations.
+		memo = false
+	}
+	e.remainingBuf = remaining[:0]
+	return arrival, nil
 }
 
 // remoteResources returns the slot-search resources a remote staging
@@ -569,25 +739,68 @@ func (v *schedEnv) multiSlot(after, dur float64, res ...gantt.SlotSearcher) floa
 }
 
 func (v *schedEnv) remoteTransfer(f batch.FileID, dst int) (float64, error) {
+	if v.commit && v.e.inj != nil {
+		return v.faultyTransfer(f, -1, dst, 0)
+	}
 	p := v.e.st.P
 	home := p.Batch.Files[f].Home
-	size := p.Batch.FileSize(f)
-	dur := float64(size) / p.Platform.RemoteBW(home, dst)
-	if v.commit {
-		if v.e.inj != nil {
-			return v.faultyTransfer(f, -1, dst, 0)
-		}
-		start := v.multiSlot(0, dur, v.remoteResources(home, dst)...)
-		return v.commitRemote(f, home, dst, start, dur)
+	dur := float64(p.Batch.FileSize(f)) / p.Platform.RemoteBW(home, dst)
+	return v.place(f, -1, dst, v.multiSlot(0, dur, v.remoteResources(home, dst)...))
+}
+
+func (v *schedEnv) replicaTransfer(f batch.FileID, src, dst int, srcAt float64) (float64, error) {
+	if v.commit && v.e.inj != nil {
+		return v.faultyTransfer(f, src, dst, srcAt)
 	}
-	start := v.multiSlot(0, dur, v.remoteResources(home, dst)...)
-	v.reserve(v.e.storageTL[home], start, dur, tagTransfer)
-	v.reserve(v.e.computeTL[dst], start, dur, tagTransfer)
-	if v.e.linkTL != nil {
-		v.reserve(v.e.linkTL, start, dur, tagTransfer)
+	p := v.e.st.P
+	dur := float64(p.Batch.FileSize(f)) / p.Platform.ReplicaBW(src, dst)
+	return v.place(f, src, dst, v.multiSlot(srcAt, dur, v.searcher(v.e.computeTL[src]), v.searcher(v.e.computeTL[dst])))
+}
+
+// stageFrom stages f onto dst from the source a search chose, at the
+// slot it found. Under fault injection the commit goes through
+// faultyTransfer, which draws each attempt's failures.
+func (v *schedEnv) stageFrom(f batch.FileID, dst int, c srcChoice) (float64, error) {
+	if v.commit && v.e.inj != nil {
+		srcAt := 0.0
+		if c.src >= 0 {
+			srcAt, _ = v.availOn(c.src, f)
+		}
+		return v.faultyTransfer(f, c.src, dst, srcAt)
+	}
+	return v.place(f, c.src, dst, c.start)
+}
+
+// place books the transfer of f from src (-1 = f's storage home) onto
+// dst at a slot start already found free on every port it occupies:
+// committed through commitRemote/commitReplica, or tentatively on the
+// env's overlays.
+func (v *schedEnv) place(f batch.FileID, src, dst int, start float64) (float64, error) {
+	e := v.e
+	p := e.st.P
+	size := p.Batch.FileSize(f)
+	var dur float64
+	if src < 0 {
+		home := p.Batch.Files[f].Home
+		dur = float64(size) / p.Platform.RemoteBW(home, dst)
+		if v.commit {
+			return v.commitRemote(f, home, dst, start, dur)
+		}
+		v.reserve(e.storageTL[home], start, dur, tagTransfer)
+		v.reserve(e.computeTL[dst], start, dur, tagTransfer)
+		if e.linkTL != nil {
+			v.reserve(e.linkTL, start, dur, tagTransfer)
+		}
+	} else {
+		dur = float64(size) / p.Platform.ReplicaBW(src, dst)
+		if v.commit {
+			return v.commitReplica(f, src, dst, start, dur)
+		}
+		v.reserve(e.computeTL[src], start, dur, tagTransfer)
+		v.reserve(e.computeTL[dst], start, dur, tagTransfer)
 	}
 	if v.record != nil {
-		*v.record = append(*v.record, specOp{file: f, src: -1, dst: dst, start: start, dur: dur})
+		*v.record = append(*v.record, specOp{file: f, src: src, dst: dst, start: start, dur: dur})
 	}
 	v.setAvail(dst, f, start+dur)
 	return start + dur, nil
@@ -653,27 +866,6 @@ func (v *schedEnv) commitRemote(f batch.FileID, home, dst int, start, dur float6
 	return start + dur, nil
 }
 
-func (v *schedEnv) replicaTransfer(f batch.FileID, src, dst int, srcAt float64) (float64, error) {
-	p := v.e.st.P
-	size := p.Batch.FileSize(f)
-	dur := float64(size) / p.Platform.ReplicaBW(src, dst)
-	if v.commit {
-		if v.e.inj != nil {
-			return v.faultyTransfer(f, src, dst, srcAt)
-		}
-		start := v.multiSlot(srcAt, dur, v.searcher(v.e.computeTL[src]), v.searcher(v.e.computeTL[dst]))
-		return v.commitReplica(f, src, dst, start, dur)
-	}
-	start := v.multiSlot(srcAt, dur, v.searcher(v.e.computeTL[src]), v.searcher(v.e.computeTL[dst]))
-	v.reserve(v.e.computeTL[src], start, dur, tagTransfer)
-	v.reserve(v.e.computeTL[dst], start, dur, tagTransfer)
-	if v.record != nil {
-		*v.record = append(*v.record, specOp{file: f, src: src, dst: dst, start: start, dur: dur})
-	}
-	v.setAvail(dst, f, start+dur)
-	return start + dur, nil
-}
-
 // commitReplica reserves and records a compute→compute copy whose slot
 // [start, start+dur) has already been found.
 func (v *schedEnv) commitReplica(f batch.FileID, src, dst int, start, dur float64) (float64, error) {
@@ -717,11 +909,7 @@ func (v *schedEnv) survivingReplica(f batch.FileID, dst int, after float64) (src
 	// Same merged holder-list walk as bestSource: only nodes with a
 	// committed (or, in tentative envs, scheduled) copy are visited, in
 	// ascending node order.
-	hs := e.holders[f]
-	var ts []int32
-	if !v.commit {
-		ts = v.scratchByFile[f]
-	}
+	hs, ts := e.holders[f], v.scratchHolders(f)
 	hi, ti := 0, 0
 	for hi < len(hs) || ti < len(ts) {
 		var j int
@@ -892,6 +1080,9 @@ func (e *executor) base() float64 { return e.st.Clock }
 func (e *executor) scheduleTask(t batch.TaskID, commit bool) (float64, error) {
 	var v *schedEnv
 	if commit {
+		// The commit changes the committed state every memoized probe
+		// was priced against; nothing reads the memo until it returns.
+		e.epoch++
 		v = newSchedEnv(e, true)
 		e.curTask = int(t)
 	} else {
@@ -900,57 +1091,12 @@ func (e *executor) scheduleTask(t batch.TaskID, commit bool) (float64, error) {
 	c := e.plan.Node[t]
 	task := &e.st.P.Batch.Tasks[t]
 
-	// Stage missing files. §6 picks the file with minimum TCT first,
-	// recomputes, and repeats; since transfers to one node serialize on
-	// its port, scheduling shorter-TCT transfers first is what the
-	// greedy order achieves. We emulate it by repeatedly choosing the
-	// cheapest remaining file.
-	remaining := e.remainingBuf[:0]
-	arrival := 0.0
-	for _, f := range task.Files {
-		if at, ok := v.availOn(c, f); ok {
-			if at > arrival {
-				arrival = at
-			}
-			continue
-		}
-		remaining = append(remaining, f)
+	// A fresh tentative env sees exactly the committed state, so its
+	// first-round probes may use the memo.
+	arrival, err := v.stageInputs(task.Files, c, !commit && e.nodeTasks[c] > 1)
+	if err != nil {
+		return 0, err
 	}
-	for len(remaining) > 0 {
-		// §6: estimate the TCT of every remaining input file against
-		// the current Gantt view, tentatively schedule the minimum,
-		// recompute the rest, and repeat. In pinned (IP-plan) mode the
-		// source is dictated and may involve realizing a replication
-		// chain, which probing cannot price without side effects, so
-		// files are taken in ascending-size order there (the same
-		// order min-TCT produces on an otherwise idle port).
-		best := 0
-		if e.plan.Pinned {
-			for i := 1; i < len(remaining); i++ {
-				if e.st.P.Batch.FileSize(remaining[i]) < e.st.P.Batch.FileSize(remaining[best]) {
-					best = i
-				}
-			}
-		} else {
-			bestTCT := math.Inf(1)
-			for i, f := range remaining {
-				if tct := v.probeTCT(f, c); tct < bestTCT {
-					bestTCT, best = tct, i
-				}
-			}
-		}
-		f := remaining[best]
-		remaining = append(remaining[:best], remaining[best+1:]...)
-		at, err := v.ensureFile(f, c)
-		if err != nil {
-			e.remainingBuf = remaining[:0]
-			return 0, err
-		}
-		if at > arrival {
-			arrival = at
-		}
-	}
-	e.remainingBuf = remaining[:0]
 
 	// Execute: local read of all inputs plus computation, on the
 	// node's port (no staging overlaps execution).
@@ -1130,34 +1276,10 @@ func (e *executor) planTwin(t batch.TaskID, task *batch.Task, j, c int, forkT, p
 		}
 	}
 
-	arrival := 0.0
-	remaining := make([]batch.FileID, 0, len(task.Files))
-	for _, f := range task.Files {
-		if at, ok := v.availOn(j, f); ok {
-			if at > arrival {
-				arrival = at
-			}
-			continue
-		}
-		remaining = append(remaining, f)
-	}
-	for len(remaining) > 0 {
-		best := 0
-		bestTCT := math.Inf(1)
-		for i, f := range remaining {
-			if tct := v.probeTCT(f, j); tct < bestTCT {
-				bestTCT, best = tct, i
-			}
-		}
-		f := remaining[best]
-		remaining = append(remaining[:best], remaining[best+1:]...)
-		// Tentative scheduling cannot fail: the fault paths are
-		// commit-only.
-		at, _ := v.ensureFile(f, j)
-		if at > arrival {
-			arrival = at
-		}
-	}
+	// Tentative scheduling cannot fail: the fault paths are
+	// commit-only. The pre-reserved, floored view is not the committed
+	// state, so the memo stays out.
+	arrival, _ := v.stageInputs(task.Files, j, false)
 
 	var bytes int64
 	for _, f := range task.Files {
@@ -1482,18 +1604,44 @@ type ectEntry struct {
 	ver  int
 }
 
+// ectHeap is a binary min-heap on ect. push and pop follow
+// container/heap's sift-up and sift-down step for step, so equal keys
+// pop in the same order, without boxing every entry in an interface.
 type ectHeap []ectEntry
 
-func (h ectHeap) Len() int            { return len(h) }
-func (h ectHeap) Less(i, j int) bool  { return h[i].ect < h[j].ect }
-func (h ectHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *ectHeap) Push(x interface{}) { *h = append(*h, x.(ectEntry)) }
-func (h *ectHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *ectHeap) push(x ectEntry) {
+	*h = append(*h, x)
+	q := *h
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].ect < q[i].ect) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *ectHeap) pop() ectEntry {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].ect < q[j].ect {
+			j = j2 // right child
+		}
+		if !(q[j].ect < q[i].ect) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 func (e *executor) run() (*ExecStats, error) {
@@ -1509,6 +1657,7 @@ func (e *executor) run() (*ExecStats, error) {
 			continue // already there
 		}
 		e.curTask = -1 // journaled as planner-directed pre-staging
+		e.epoch++
 		v := newSchedEnv(e, true)
 		var err error
 		if op.Kind == Replica && !e.st.P.DisableReplication && e.avail[op.Src][op.File] >= 0 {
@@ -1536,30 +1685,31 @@ func (e *executor) run() (*ExecStats, error) {
 	// cost near O(T·files) instead of O(T²·files) on large
 	// sub-batches, while preserving the §6 earliest-completion-time
 	// discipline.
-	h := &ectHeap{}
+	h := make(ectHeap, 0, len(e.plan.Tasks))
 	nodeVer := make([]int, len(e.computeTL))
 	for _, t := range e.plan.Tasks {
 		ect, err := e.scheduleTask(t, false)
 		if err != nil {
 			return nil, err
 		}
-		heap.Push(h, ectEntry{task: t, ect: ect, ver: 0})
+		h.push(ectEntry{task: t, ect: ect, ver: 0})
 	}
 	const commitSlack = 1.01
-	for h.Len() > 0 {
-		top := heap.Pop(h).(ectEntry)
+	for len(h) > 0 {
+		top := h.pop()
 		node := e.plan.Node[top.task]
 		if top.ver != nodeVer[node] {
+			e.stats.ECTReevals++
 			ect, err := e.scheduleTask(top.task, false)
 			if err != nil {
 				return nil, err
 			}
-			if h.Len() > 0 && ect > (*h)[0].ect*commitSlack+1e-12 {
-				heap.Push(h, ectEntry{task: top.task, ect: ect, ver: nodeVer[node]})
+			if len(h) > 0 && ect > h[0].ect*commitSlack+1e-12 {
+				h.push(ectEntry{task: top.task, ect: ect, ver: nodeVer[node]})
 				continue
 			}
 		}
-		e.drainLeft = h.Len()
+		e.drainLeft = len(h)
 		if _, err := e.scheduleTask(top.task, true); err != nil {
 			var fa *faultAbort
 			if errors.As(err, &fa) {

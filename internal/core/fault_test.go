@@ -210,6 +210,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 			WastedSeconds: 12.125,
 			SpecLaunches:  5, SpecWins: 3, SpecCancels: 5, SpecSaved: 1,
 			SpecWastedSeconds: 7.25,
+			Probes:            40, ProbeReuses: 30, ECTReevals: 9,
 		},
 	}
 	// Every field set, promoted ones included: catch future additions
@@ -233,7 +234,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flat, with exactly the keys Result had before it embedded
-	// ExecStats plus TasksRun.
+	// ExecStats plus TasksRun and the source-search counters.
 	var flat map[string]json.RawMessage
 	if err := json.Unmarshal(data, &flat); err != nil {
 		t.Fatal(err)
@@ -243,7 +244,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		"StorageBusy", "ComputeBusy", "TransferFailures", "TransferRetries", "ReplicaRecoveries",
 		"Crashes", "Stragglers", "RequeuedTasks", "DegradedTasks", "WastedSeconds",
 		"SpecLaunches", "SpecWins", "SpecCancels", "SpecSaved", "SpecWastedSeconds",
-		"TasksRun"}
+		"TasksRun", "Probes", "ProbeReuses", "ECTReevals"}
 	sort.Strings(want)
 	got := make([]string, 0, len(flat))
 	for k := range flat {
@@ -270,13 +271,13 @@ func TestExecStatsAddCommutative(t *testing.T) {
 		TransferFailures: 9, TransferRetries: 10, ReplicaRecoveries: 11,
 		Crashes: 12, Stragglers: 13, RequeuedTasks: 14, WastedSeconds: 15,
 		SpecLaunches: 16, SpecWins: 17, SpecCancels: 18, SpecSaved: 19,
-		SpecWastedSeconds: 20}
+		SpecWastedSeconds: 20, Probes: 21, ProbeReuses: 22, ECTReevals: 23}
 	b := core.ExecStats{Makespan: 100, TasksRun: 200, RemoteTransfers: 300, RemoteBytes: 400,
 		ReplicaTransfers: 500, ReplicaBytes: 600, StorageBusy: 700, ComputeBusy: 800,
 		TransferFailures: 900, TransferRetries: 1000, ReplicaRecoveries: 1100,
 		Crashes: 1200, Stragglers: 1300, RequeuedTasks: 1400, WastedSeconds: 1500,
 		SpecLaunches: 1600, SpecWins: 1700, SpecCancels: 1800, SpecSaved: 1900,
-		SpecWastedSeconds: 2000}
+		SpecWastedSeconds: 2000, Probes: 2100, ProbeReuses: 2200, ECTReevals: 2300}
 	ab, ba := a, b
 	ab.Add(&b)
 	ba.Add(&a)

@@ -290,6 +290,9 @@ func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 	ob.Metrics.Count("core.replica_transfers", int64(res.ReplicaTransfers))
 	ob.Metrics.Count("core.replica_bytes", res.ReplicaBytes)
 	ob.Metrics.Count("core.evictions", int64(res.Evictions))
+	ob.Metrics.Count("core.exec.probes", int64(res.Probes))
+	ob.Metrics.Count("core.exec.probe_reuses", int64(res.ProbeReuses))
+	ob.Metrics.Count("core.exec.ect_reevals", int64(res.ECTReevals))
 	ob.Metrics.SetGauge("core.makespan_s", res.Makespan)
 	j.Emit(journal.Event{T: st.Clock, Kind: journal.KindRunEnd, Round: res.SubBatches,
 		Run: &journal.Run{Sched: s.Name(), Tasks: res.TaskCount, Status: string(res.Status),
