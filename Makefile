@@ -59,6 +59,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzPartitionKWay -fuzztime=5s ./internal/hypergraph/
 	$(GO) test -run='^$$' -fuzz=FuzzTimelineReserve -fuzztime=5s ./internal/gantt/
 	$(GO) test -run='^$$' -fuzz=FuzzFaultPlan -fuzztime=5s ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzMinMinEquivalence -fuzztime=5s ./internal/sched/minmin/
 
 # The fault-injection suite under the race detector plus the full
 # chaos experiment matrix: every deterministic-recovery property

@@ -51,9 +51,9 @@ func BenchmarkScale(b *testing.B) {
 		maxTasks int
 		mk       func() core.Scheduler
 	}{
-		// MinMin stops at 10k: its heap still pays an O(C) re-verify
-		// per invalidated entry, and at 1k nodes the 100k tier needs
-		// ~25 CPU-minutes.
+		// MinMin stops at 10k: its plan now reaches 100k (see
+		// BenchmarkScalePlan), but the §6 executor bounds the pipeline,
+		// as it does JDP's 100k tier.
 		{"MinMin", 10_000, func() core.Scheduler { return minmin.New() }},
 		{"JobDataPresent", 100_000, func() core.Scheduler { return jdp.New() }},
 	}
@@ -76,18 +76,18 @@ func BenchmarkScale(b *testing.B) {
 // tasks in one sub-batch), no executor. This is where the incremental
 // data structures show their edge over the reference full-rescan
 // arms: the naive JDP re-scans every cluster node per (task,file)
-// availability probe (~18x slower at the 10k tier), and naive MinMin
+// availability probe (~15x slower at the 10k tier), and naive MinMin
 // re-runs an O(T·C) argmin per committed task, which extrapolates to
-// hours at 100k. The MinMin arms both stop at 10k — the incremental
-// planner still pays an O(C) re-verify per invalidated heap entry, so
-// MinMin has no 100k/1k-node tier yet.
+// hours at 100k. The incremental MinMin re-verifies a stale entry by
+// pricing only the nodes holding the task's inputs plus the head of
+// each node class's ready order, so it runs the 100k/1k-node tier.
 func BenchmarkScalePlan(b *testing.B) {
 	schemes := []struct {
 		name     string
 		maxTasks int
 		mk       func() core.Scheduler
 	}{
-		{"MinMin", 10_000, func() core.Scheduler { return minmin.New() }},
+		{"MinMin", 100_000, func() core.Scheduler { return minmin.New() }},
 		{"MinMin-naive", 10_000, func() core.Scheduler { return &minmin.Scheduler{Naive: true} }},
 		{"JobDataPresent", 100_000, func() core.Scheduler { return jdp.New() }},
 		{"JobDataPresent-naive", 10_000, func() core.Scheduler {

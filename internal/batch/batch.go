@@ -10,6 +10,7 @@ package batch
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -102,8 +103,8 @@ func (b *Batch) Finalize() error {
 			seen[f] = true
 			b.require[f] = append(b.require[f], TaskID(ti))
 		}
-		if t.Compute < 0 {
-			return fmt.Errorf("batch: task %d has negative compute time", ti)
+		if !(t.Compute >= 0) || math.IsInf(t.Compute, 1) {
+			return fmt.Errorf("batch: task %d has a negative or non-finite compute time", ti)
 		}
 	}
 	for fi := range b.Files {

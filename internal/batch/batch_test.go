@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -75,6 +76,14 @@ func TestFinalizeRejects(t *testing.T) {
 	b3.AddFile("z", 0, 0) // zero size
 	if err := b3.Finalize(); err == nil {
 		t.Fatal("zero-size file not rejected")
+	}
+	for _, c := range []float64{-1, math.NaN(), math.Inf(1)} {
+		b4 := New()
+		f := b4.AddFile("a", 100, 0)
+		b4.AddTask("t", c, []FileID{f})
+		if err := b4.Finalize(); err == nil {
+			t.Fatalf("compute time %v not rejected", c)
+		}
 	}
 }
 

@@ -66,7 +66,9 @@ type Platform struct {
 	SharedLinkBW float64
 }
 
-// Validate checks internal consistency.
+// Validate checks internal consistency. Every bandwidth must be
+// positive and finite: a NaN passes a bare "<= 0" test and would then
+// poison every completion estimate that divides by it.
 func (p *Platform) Validate() error {
 	if len(p.Compute) == 0 {
 		return fmt.Errorf("platform %q: no compute nodes", p.Name)
@@ -74,21 +76,29 @@ func (p *Platform) Validate() error {
 	if len(p.Storage) == 0 {
 		return fmt.Errorf("platform %q: no storage nodes", p.Name)
 	}
-	if p.InterBW <= 0 || p.IntraBW <= 0 {
-		return fmt.Errorf("platform %q: bandwidths must be positive", p.Name)
+	if !validBW(p.InterBW) || !validBW(p.IntraBW) {
+		return fmt.Errorf("platform %q: bandwidths must be positive and finite", p.Name)
+	}
+	// A non-positive SharedLinkBW means there is no shared link.
+	if math.IsNaN(p.SharedLinkBW) || math.IsInf(p.SharedLinkBW, 0) {
+		return fmt.Errorf("platform %q: shared link bandwidth must be finite", p.Name)
 	}
 	for i, c := range p.Compute {
-		if c.LocalReadBW <= 0 || c.NetBW <= 0 {
-			return fmt.Errorf("platform %q: compute node %d has non-positive bandwidth", p.Name, i)
+		if !validBW(c.LocalReadBW) || !validBW(c.NetBW) {
+			return fmt.Errorf("platform %q: compute node %d has a non-positive or non-finite bandwidth", p.Name, i)
 		}
 	}
 	for i, s := range p.Storage {
-		if s.DiskBW <= 0 || s.NetBW <= 0 {
-			return fmt.Errorf("platform %q: storage node %d has non-positive bandwidth", p.Name, i)
+		if !validBW(s.DiskBW) || !validBW(s.NetBW) {
+			return fmt.Errorf("platform %q: storage node %d has a non-positive or non-finite bandwidth", p.Name, i)
 		}
 	}
 	return nil
 }
+
+// validBW reports whether bw is a usable bandwidth: positive and
+// finite (false for NaN).
+func validBW(bw float64) bool { return bw > 0 && !math.IsInf(bw, 1) }
 
 // RemoteBW returns the effective bandwidth of a remote transfer from
 // storage node s to compute node c: the minimum of the storage disk
@@ -125,18 +135,16 @@ func (p *Platform) MinRemoteBW() float64 {
 }
 
 // MinReplicaBW returns the paper's BW_c: the minimum compute-to-compute
-// bandwidth over distinct node pairs.
+// bandwidth over distinct node pairs. With two or more nodes every
+// node's NIC is on some pair, so that minimum is the smallest NetBW
+// or IntraBW.
 func (p *Platform) MinReplicaBW() float64 {
 	if len(p.Compute) < 2 {
 		return p.IntraBW
 	}
-	bw := math.Inf(1)
-	for i := range p.Compute {
-		for j := range p.Compute {
-			if i != j {
-				bw = math.Min(bw, p.ReplicaBW(i, j))
-			}
-		}
+	bw := p.IntraBW
+	for _, c := range p.Compute {
+		bw = math.Min(bw, c.NetBW)
 	}
 	return bw
 }

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -71,18 +72,78 @@ func TestAggregateDiskSpace(t *testing.T) {
 }
 
 func TestValidateCatchesBadConfigs(t *testing.T) {
-	p := XIO(0, 4, 0)
-	if err := p.Validate(); err == nil {
-		t.Fatal("no compute nodes accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(p *Platform)
+	}{
+		{"no compute nodes", func(p *Platform) { p.Compute = nil }},
+		{"no storage nodes", func(p *Platform) { p.Storage = nil }},
+		{"zero InterBW", func(p *Platform) { p.InterBW = 0 }},
+		{"NaN InterBW", func(p *Platform) { p.InterBW = nan }},
+		{"+Inf InterBW", func(p *Platform) { p.InterBW = inf }},
+		{"NaN IntraBW", func(p *Platform) { p.IntraBW = nan }},
+		{"+Inf IntraBW", func(p *Platform) { p.IntraBW = inf }},
+		{"NaN SharedLinkBW", func(p *Platform) { p.SharedLinkBW = nan }},
+		{"+Inf SharedLinkBW", func(p *Platform) { p.SharedLinkBW = inf }},
+		{"-Inf SharedLinkBW", func(p *Platform) { p.SharedLinkBW = -inf }},
+		{"negative compute LocalReadBW", func(p *Platform) { p.Compute[1].LocalReadBW = -1 }},
+		{"NaN compute LocalReadBW", func(p *Platform) { p.Compute[1].LocalReadBW = nan }},
+		{"+Inf compute LocalReadBW", func(p *Platform) { p.Compute[1].LocalReadBW = inf }},
+		{"NaN compute NetBW", func(p *Platform) { p.Compute[0].NetBW = nan }},
+		{"+Inf compute NetBW", func(p *Platform) { p.Compute[0].NetBW = inf }},
+		{"-Inf compute NetBW", func(p *Platform) { p.Compute[0].NetBW = -inf }},
+		{"NaN storage DiskBW", func(p *Platform) { p.Storage[1].DiskBW = nan }},
+		{"+Inf storage DiskBW", func(p *Platform) { p.Storage[1].DiskBW = inf }},
+		{"NaN storage NetBW", func(p *Platform) { p.Storage[0].NetBW = nan }},
+		{"+Inf storage NetBW", func(p *Platform) { p.Storage[0].NetBW = inf }},
 	}
-	p2 := XIO(4, 0, 0)
-	if err := p2.Validate(); err == nil {
-		t.Fatal("no storage nodes accepted")
+	for _, tc := range cases {
+		p := XIO(2, 2, 0)
+		tc.edit(p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
-	p3 := XIO(2, 2, 0)
-	p3.InterBW = 0
-	if err := p3.Validate(); err == nil {
-		t.Fatal("zero bandwidth accepted")
+	// No shared link is spelled as zero or a negative value.
+	for _, v := range []float64{0, -1} {
+		p := XIO(2, 2, 0)
+		p.SharedLinkBW = v
+		if err := p.Validate(); err != nil {
+			t.Errorf("SharedLinkBW %v rejected: %v", v, err)
+		}
+	}
+}
+
+// TestMinReplicaBWMatchesPairwise checks the O(C) minimum against the
+// definition, the minimum of ReplicaBW over all distinct node pairs,
+// on random heterogeneous platforms.
+func TestMinReplicaBWMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + trial%3
+		if trial >= 30 {
+			n = 1 + rng.Intn(12)
+		}
+		p := XIO(n, 1, 0)
+		p.IntraBW = float64(1+rng.Intn(1000)) * MB
+		for i := range p.Compute {
+			p.Compute[i].NetBW = float64(1+rng.Intn(1000)) * MB
+		}
+		want := p.IntraBW
+		if n >= 2 {
+			want = math.Inf(1)
+			for i := range p.Compute {
+				for j := range p.Compute {
+					if i != j {
+						want = math.Min(want, p.ReplicaBW(i, j))
+					}
+				}
+			}
+		}
+		if got := p.MinReplicaBW(); got != want {
+			t.Fatalf("trial %d (%d nodes): MinReplicaBW = %v, pairwise minimum %v", trial, n, got, want)
+		}
 	}
 }
 

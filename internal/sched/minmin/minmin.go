@@ -22,13 +22,16 @@
 // min-heap over per-task best completion times, updated eagerly for
 // tasks sharing a file with each placement (via an inverted file→task
 // index) and lazily, via per-node version counters and a lower-bound
-// "dirty" discount, for everything else. See DESIGN.md §14 for the
-// invariant argument.
+// "dirty" discount, for everything else. Re-verifying a stale entry
+// prices only the nodes holding one of the task's inputs plus the
+// least-loaded eligible nodes of each bandwidth class, not all C. See
+// DESIGN.md §14 for the invariant argument.
 package minmin
 
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/batch"
 	"repro/internal/core"
@@ -68,9 +71,22 @@ type mmState struct {
 	holds     [][]bool
 	free      []int64
 	ready     []float64
-	anyCopy   []bool
 	bwRemote  []float64
 	bwReplica float64
+
+	// holders[f] lists the nodes holding file f in the plan state; a
+	// file with no holder has no cluster copy to replicate from.
+	holders [][]int32
+	// class[i] is node i's cold class: nodes with equal (bwRemote,
+	// LocalReadBW) price a task none of whose inputs they hold with
+	// the same floats, up to their ready time. classOrder[c] keeps
+	// class c's nodes sorted by (ready, index).
+	class      []int32
+	classOrder [][]int32
+	// warm[i] == warmSeq marks node i as holding an input of the task
+	// bestNode is searching for.
+	warm    []int
+	warmSeq int
 }
 
 func newMMState(st *core.State) *mmState {
@@ -82,26 +98,36 @@ func newMMState(st *core.State) *mmState {
 		holds:   st.PresentMatrix(),
 		free:    make([]int64, C),
 		ready:   make([]float64, C),
-		anyCopy: make([]bool, b.NumFiles()),
+		holders: make([][]int32, b.NumFiles()),
+		class:   make([]int32, C),
+		warm:    make([]int, C),
 	}
 	for i := 0; i < C; i++ {
 		m.free[i] = st.Free(i)
-	}
-	for f := 0; f < b.NumFiles(); f++ {
-		for i := 0; i < C; i++ {
-			if m.holds[i][f] {
-				m.anyCopy[f] = true
-				break
+		for f, h := range m.holds[i] {
+			if h {
+				m.holders[f] = append(m.holders[f], int32(i))
 			}
 		}
 	}
 	m.bwRemote = make([]float64, C)
+	classOf := make(map[[2]float64]int32)
 	for i := 0; i < C; i++ {
 		bw := math.Inf(1)
 		for sn := range p.Platform.Storage {
 			bw = math.Min(bw, p.Platform.RemoteBW(sn, i))
 		}
 		m.bwRemote[i] = bw
+		key := [2]float64{bw, p.Platform.Compute[i].LocalReadBW}
+		c, ok := classOf[key]
+		if !ok {
+			c = int32(len(m.classOrder))
+			classOf[key] = c
+			m.classOrder = append(m.classOrder, nil)
+		}
+		m.class[i] = c
+		// Every ready time starts at zero, so index order is sorted.
+		m.classOrder[c] = append(m.classOrder[c], int32(i))
 	}
 	m.bwReplica = p.Platform.MinReplicaBW()
 	return m
@@ -121,7 +147,7 @@ func (m *mmState) ect(k batch.TaskID, i int) (float64, int64) {
 			continue
 		}
 		extra += size
-		if m.anyCopy[f] && !m.p.DisableReplication {
+		if len(m.holders[f]) > 0 && !m.p.DisableReplication {
 			stage += float64(size) / m.bwReplica
 		} else {
 			stage += float64(size) / m.bwRemote[i]
@@ -148,17 +174,93 @@ func (m *mmState) place(st *core.State, plan *core.SubPlan, k batch.TaskID, best
 	// Stage the task's files (implicit replication) and occupy the
 	// node.
 	e, extra := m.ect(k, bestNode)
-	m.ready[bestNode] = e
+	m.setReady(bestNode, e)
 	m.free[bestNode] -= extra
 	for _, f := range m.b.Tasks[k].Files {
 		if !m.holds[bestNode][f] {
 			staged = append(staged, f)
-			first = append(first, !m.anyCopy[f])
+			first = append(first, len(m.holders[f]) == 0)
 			m.holds[bestNode][f] = true
-			m.anyCopy[f] = true
+			m.holders[f] = append(m.holders[f], int32(bestNode))
 		}
 	}
 	return staged, first
+}
+
+// readyBefore orders nodes within a cold class by (ready, index).
+func (m *mmState) readyBefore(a, b int32) bool {
+	if m.ready[a] != m.ready[b] {
+		return m.ready[a] < m.ready[b]
+	}
+	return a < b
+}
+
+// setReady moves node i to its new place in its class order.
+func (m *mmState) setReady(i int, r float64) {
+	c := m.class[i]
+	ord := m.classOrder[c]
+	n := int32(i)
+	p := sort.Search(len(ord), func(x int) bool { return !m.readyBefore(ord[x], n) })
+	ord = append(ord[:p], ord[p+1:]...)
+	m.ready[i] = r
+	q := sort.Search(len(ord), func(x int) bool { return !m.readyBefore(ord[x], n) })
+	ord = append(ord, 0)
+	copy(ord[q+1:], ord[q:])
+	ord[q] = n
+	m.classOrder[c] = ord
+}
+
+// bestNode returns task k's minimum completion time over the nodes
+// with room for its new bytes, and the lowest-indexed node achieving
+// it (node -1, key +Inf when none fits) — the result of the
+// reference's strict-< ascending scan over all C nodes, found without
+// visiting them all (DESIGN.md §14).
+//
+// Nodes holding one of k's inputs (warm) are priced one by one. Every
+// other node stages all of k's files, so within a cold class its
+// estimate is (ready + S) + X for the same S and X; rounding is
+// monotone, so it cannot fall as ready rises. Each class is walked in
+// (ready, index) order, pricing only the first eligible node of every
+// distinct ready time, until a price exceeds the best found so far.
+func (m *mmState) bestNode(k batch.TaskID) (float64, int32) {
+	best, node := math.Inf(1), int32(-1)
+	take := func(v float64, i int32) {
+		if v < best || (v == best && i < node) {
+			best, node = v, i
+		}
+	}
+	m.warmSeq++
+	var taskBytes int64
+	for _, f := range m.b.Tasks[k].Files {
+		taskBytes += m.b.FileSize(f)
+		for _, i := range m.holders[f] {
+			if m.warm[i] == m.warmSeq {
+				continue
+			}
+			m.warm[i] = m.warmSeq
+			if v, extra := m.ect(k, int(i)); extra <= m.free[i] {
+				take(v, i)
+			}
+		}
+	}
+	for _, ord := range m.classOrder {
+		for x := 0; x < len(ord); {
+			i := ord[x]
+			if m.warm[i] == m.warmSeq || taskBytes > m.free[i] {
+				x++
+				continue
+			}
+			v, _ := m.ect(k, int(i))
+			if v > best {
+				break
+			}
+			take(v, i)
+			r := m.ready[i]
+			x++
+			x += sort.Search(len(ord)-x, func(y int) bool { return m.ready[ord[x+y]] > r })
+		}
+	}
+	return best, node
 }
 
 // PlanSubBatch implements core.Scheduler.
@@ -372,7 +474,7 @@ func (s *Scheduler) planIncremental(st *core.State, pending []batch.TaskID) (*co
 
 	// dropRate bounds, per newly replicable byte, how much any node's
 	// completion estimate can fall when a file's path switches from
-	// remote to replica (the anyCopy flip). Slightly inflated so the
+	// remote to replica (its first holder). Slightly inflated so the
 	// discounted key stays a lower bound despite summation rounding.
 	dropRate := 0.0
 	if !m.p.DisableReplication {
@@ -390,15 +492,8 @@ func (s *Scheduler) planIncremental(st *core.State, pending []batch.TaskID) (*co
 	h := &mmHeap{entries: make([]mmEntry, len(unsched)), order: make([]int32, len(unsched))}
 	nodeVer := make([]int32, C)
 	recompute := func(idx int32) {
-		k := unsched[idx]
 		e := &h.entries[idx]
-		e.key, e.node = math.Inf(1), -1
-		for i := 0; i < C; i++ {
-			v, extra := m.ect(k, i)
-			if extra <= m.free[i] && v < e.key {
-				e.key, e.node = v, int32(i)
-			}
-		}
+		e.key, e.node = m.bestNode(unsched[idx])
 		if e.node >= 0 {
 			e.nver = nodeVer[e.node]
 		}
