@@ -58,6 +58,7 @@ race:
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzPartitionKWay -fuzztime=5s ./internal/hypergraph/
 	$(GO) test -run='^$$' -fuzz=FuzzTimelineReserve -fuzztime=5s ./internal/gantt/
+	$(GO) test -run='^$$' -fuzz=FuzzSlotMonotone -fuzztime=5s ./internal/gantt/
 	$(GO) test -run='^$$' -fuzz=FuzzFaultPlan -fuzztime=5s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzMinMinEquivalence -fuzztime=5s ./internal/sched/minmin/
 

@@ -54,10 +54,14 @@ type ExecStats struct {
 	// the bestSource searches run; ProbeReuses counts the ones skipped
 	// because an earlier search's answer was still exact (a greedy
 	// winner staged from the slot its probe found, or a commit-epoch
-	// memo hit). Their sum is the search count without reuse.
-	// ECTReevals counts stale ECT-heap entries re-evaluated.
+	// memo hit); BoundSkips counts the re-pricings a lower bound ruled
+	// out (a missing file that provably could not win a greedy round).
+	// Probes + ProbeReuses + BoundSkips is the search count of the
+	// literal re-price-everything loop. ECTReevals counts stale
+	// ECT-heap entries re-evaluated.
 	Probes      int
 	ProbeReuses int
+	BoundSkips  int
 	ECTReevals  int
 }
 
@@ -88,6 +92,7 @@ func (s *ExecStats) Add(o *ExecStats) {
 	s.SpecWastedSeconds += o.SpecWastedSeconds
 	s.Probes += o.Probes
 	s.ProbeReuses += o.ProbeReuses
+	s.BoundSkips += o.BoundSkips
 	s.ECTReevals += o.ECTReevals
 }
 
@@ -159,9 +164,8 @@ type executor struct {
 	// between uses instead of reallocated (the probe loop runs millions
 	// of times at scale).
 	tentEnv *schedEnv
-	// remainingBuf backs stageInputs' missing-file worklist across
-	// calls.
-	remainingBuf []batch.FileID
+	// candBuf backs stageInputs' missing-file worklist across calls.
+	candBuf []stageCand
 	// memo caches first-round source probes of tentative evaluations.
 	// Such a probe runs on a freshly cleared overlay, so its answer
 	// depends only on committed state; an entry is valid while its
@@ -354,6 +358,10 @@ type schedEnv struct {
 	// pinned plan: twin staging is not part of the IP plan, and
 	// single-hop dynamic transfers keep the recorded ops replayable.
 	dynamicOnly bool
+	// unsorted records that a reservation this env made left a
+	// timeline (or overlay) with unsorted interval ends, which voids
+	// stageInputs' lower bounds; stageInputs clears it.
+	unsorted bool
 }
 
 func newSchedEnv(e *executor, commit bool) *schedEnv {
@@ -463,6 +471,7 @@ func (v *schedEnv) searcher(tl *gantt.Timeline) gantt.SlotSearcher {
 func (v *schedEnv) reserve(tl *gantt.Timeline, start, dur float64, tag int32) {
 	if v.commit {
 		tl.Reserve(start, dur, tag)
+		v.unsorted = v.unsorted || !tl.EndsSorted()
 		return
 	}
 	ov, ok := v.overlays[tl]
@@ -474,6 +483,7 @@ func (v *schedEnv) reserve(tl *gantt.Timeline, start, dur float64, tag int32) {
 		v.dirty = append(v.dirty, ov)
 	}
 	ov.Add(start, dur)
+	v.unsorted = v.unsorted || !ov.EndsSorted()
 }
 
 // ensureFile makes file f available on compute node dst, scheduling
@@ -514,15 +524,21 @@ func (v *schedEnv) ensureFile(f batch.FileID, dst int) (float64, error) {
 	// source and every node already holding (or scheduled to receive)
 	// the file.
 	v.e.stats.Probes++
-	return v.stageFrom(f, dst, v.bestSource(f, dst))
+	_, at, err := v.stageFrom(f, dst, v.bestSource(f, dst))
+	return at, err
 }
 
 // srcChoice is the answer of one source search: the source (-1 = the
 // file's storage home), the earliest common slot start on every port
-// the transfer occupies, and the transfer completion time.
+// the transfer occupies, and the transfer completion time. lb is at
+// most the TCT of every source, in this view and in every later view
+// of the same stageInputs pass (-Inf when a searched timeline has
+// unsorted ends); dmin is the shortest transfer duration over the
+// sources.
 type srcChoice struct {
 	src        int
 	start, tct float64
+	lb, dmin   float64
 }
 
 // memoEntry is one commit-epoch memo slot (see executor.memo).
@@ -535,20 +551,36 @@ type memoEntry struct {
 // against the current Gantt view and returns the one with minimum
 // transfer completion time (src = -1 means remote from the file's
 // storage home), without reserving anything.
+//
+// The bounds hold because, within one stageInputs pass, only dst
+// receives files: every source keeps its availability time and
+// transfer duration, and reservations only ever push slots later
+// (while the searched interval ends stay sorted, see
+// gantt.Timeline.EndsSorted).
 func (v *schedEnv) bestSource(f batch.FileID, dst int) srcChoice {
 	pf := v.e.st.P.Platform
 	home := v.e.st.P.Batch.Files[f].Home
 	size := v.e.st.P.Batch.FileSize(f)
 	src := -1
 	dur := float64(size) / pf.RemoteBW(home, dst)
-	start := v.multiSlot(0, dur, v.remoteResources(home, dst)...)
+	res := v.remoteResources(home, dst)
+	sorted := true
+	for _, r := range res {
+		sorted = sorted && r.EndsSorted()
+	}
+	dstRes := res[1]
+	start := v.multiSlot(0, dur, res...)
 	tct := start + dur
+	lb, dmin := tct, dur
 	record := v.commit && v.e.st.J.Enabled()
 	if record {
 		v.alts = append(v.alts[:0], journal.SourceAlt{Src: -1, TCT: tct})
 	}
 	if v.e.st.P.DisableReplication {
-		return srcChoice{src, start, tct}
+		if !sorted {
+			lb = math.Inf(-1)
+		}
+		return srcChoice{src, start, tct, lb, dmin}
 	}
 	// Visit only the nodes that hold (or are tentatively scheduled to
 	// receive) the file, merging the two ascending holder lists so the
@@ -573,22 +605,36 @@ func (v *schedEnv) bestSource(f batch.FileID, dst int) srcChoice {
 			continue
 		}
 		rdur := float64(size) / pf.ReplicaBW(j, dst)
+		if rdur < dmin {
+			dmin = rdur
+		}
 		if !record && at+rdur >= tct-1e-12 {
 			// rstart ≥ at, so rtct ≥ at+rdur: this source cannot win the
 			// strict rtct < tct-1e-12 test below. Skip its slot search —
 			// unless the journal needs the exact TCT for the alts list.
+			if at+rdur < lb {
+				lb = at + rdur
+			}
 			continue
 		}
-		rstart := v.multiSlot(at, rdur, v.searcher(v.e.computeTL[j]), v.searcher(v.e.computeTL[dst]))
+		srcRes := v.searcher(v.e.computeTL[j])
+		sorted = sorted && srcRes.EndsSorted()
+		rstart := v.multiSlot(at, rdur, srcRes, dstRes)
 		rtct := rstart + rdur
 		if record {
 			v.alts = append(v.alts, journal.SourceAlt{Src: j, TCT: rtct})
+		}
+		if rtct < lb {
+			lb = rtct
 		}
 		if rtct < tct-1e-12 {
 			src, start, tct = j, rstart, rtct
 		}
 	}
-	return srcChoice{src, start, tct}
+	if !sorted {
+		lb = math.Inf(-1)
+	}
+	return srcChoice{src, start, tct, lb, dmin}
 }
 
 // probe prices staging f onto dst against the current view. With memo
@@ -635,6 +681,34 @@ func (v *schedEnv) checkReuse(f batch.FileID, dst int, reused srcChoice, memoHit
 	probeReuseCheck(f, dst, memoHit, reused, fresh, alts, freshAlts)
 }
 
+// stagingCheck, when non-nil, receives every non-pinned greedy round
+// of stageInputs: the chosen position and source choice, and the
+// position and choice a full re-price of every remaining file picks.
+// Only tests set it, to prove that the lower bounds never change the
+// pick.
+var stagingCheck func(dst int, pos int, got srcChoice, refPos int, ref srcChoice)
+
+// stageCand is one missing file of a stageInputs pass. While fresh, c
+// prices the current view and key is c.tct; once the view changes, key
+// is a lower bound on the file's TCT.
+type stageCand struct {
+	f     batch.FileID
+	c     srcChoice
+	key   float64
+	fresh bool
+	// alts is the fresh probe's alternatives list (journaled commits).
+	alts []journal.SourceAlt
+}
+
+// price probes cand against the current view.
+func (v *schedEnv) price(cand *stageCand, dst int, memo, record bool) {
+	cand.c = v.probe(cand.f, dst, memo)
+	cand.key, cand.fresh = cand.c.tct, true
+	if record {
+		cand.alts = append(cand.alts[:0], v.alts...)
+	}
+}
+
 // stageInputs makes every file in files available on node dst and
 // returns the latest arrival time. §6 estimates the TCT of every
 // missing file against the current Gantt view, stages the minimum,
@@ -646,6 +720,18 @@ func (v *schedEnv) checkReuse(f batch.FileID, dst int, reused srcChoice, memoHit
 // set, the first round's probes (the only ones priced before this
 // pass reserves anything) go through the commit-epoch memo.
 //
+// Later rounds re-price lazily. A file's key is its exact TCT while
+// fresh and otherwise a lower bound: the lb of its last probe, raised
+// by the port bound. Once the winner occupies [ws, we) on dst, a file
+// whose bound exceeds ws+OverlapEps could not fit before that slot
+// (it would have fitted in the previous view too), so every source of
+// it starts at or after we and its TCT is at least we+dmin. Each round
+// re-prices the minimum (key, position) until that minimum is fresh;
+// it is then the minimum of the exact TCTs with the literal loop's
+// lowest-position tie-break. A reservation that leaves interval ends
+// unsorted voids the bounds for the rest of the pass (every key drops
+// to -Inf, which re-prices every file).
+//
 // In pinned (IP-plan) mode the source is dictated and may involve
 // realizing a replication chain, which probing cannot price without
 // side effects, so files are taken in ascending-size order there (the
@@ -653,7 +739,7 @@ func (v *schedEnv) checkReuse(f batch.FileID, dst int, reused srcChoice, memoHit
 // through ensureFile.
 func (v *schedEnv) stageInputs(files []batch.FileID, dst int, memo bool) (float64, error) {
 	e := v.e
-	remaining := e.remainingBuf[:0]
+	cands := e.candBuf[:0]
 	arrival := 0.0
 	for _, f := range files {
 		if at, ok := v.availOn(dst, f); ok {
@@ -662,66 +748,112 @@ func (v *schedEnv) stageInputs(files []batch.FileID, dst int, memo bool) (float6
 			}
 			continue
 		}
-		remaining = append(remaining, f)
+		cands = append(cands, stageCand{f: f})
 	}
 	pinned := e.plan.Pinned && !v.dynamicOnly
 	record := v.commit && e.st.J.Enabled()
-	var winAlts []journal.SourceAlt
-	for len(remaining) > 0 {
+	v.unsorted = false
+	for round := 0; len(cands) > 0; round++ {
 		best := 0
-		var win srcChoice
 		if pinned {
-			for i := 1; i < len(remaining); i++ {
-				if e.st.P.Batch.FileSize(remaining[i]) < e.st.P.Batch.FileSize(remaining[best]) {
+			for i := 1; i < len(cands); i++ {
+				if e.st.P.Batch.FileSize(cands[i].f) < e.st.P.Batch.FileSize(cands[best].f) {
 					best = i
 				}
 			}
 		} else {
-			for i, f := range remaining {
-				if c := v.probe(f, dst, memo); i == 0 || c.tct < win.tct {
-					best, win = i, c
-					if record {
-						winAlts = append(winAlts[:0], v.alts...)
-					}
+			if round == 0 {
+				for i := range cands {
+					v.price(&cands[i], dst, memo, record)
 				}
 			}
+			for {
+				best = 0
+				for i := 1; i < len(cands); i++ {
+					if cands[i].key < cands[best].key {
+						best = i
+					}
+				}
+				if cands[best].fresh {
+					break
+				}
+				v.price(&cands[best], dst, false, record)
+			}
+			for i := range cands {
+				if !cands[i].fresh {
+					e.stats.BoundSkips++
+				}
+			}
+			if stagingCheck != nil {
+				v.checkStaging(cands, dst, best)
+			}
 		}
-		f := remaining[best]
-		remaining = append(remaining[:best], remaining[best+1:]...)
-		var at float64
+		cand := cands[best]
+		cands = append(cands[:best], cands[best+1:]...)
+		var ws, we float64
 		var err error
 		if pinned {
-			at, err = v.ensureFile(f, dst)
+			we, err = v.ensureFile(cand.f, dst)
 		} else {
 			e.stats.ProbeReuses++
 			if probeReuseCheck != nil {
-				v.checkReuse(f, dst, win, false, winAlts)
+				v.checkReuse(cand.f, dst, cand.c, false, cand.alts)
 			}
 			if record {
-				// emitStage hands the list to the journal, so the next
-				// winner needs a fresh one.
-				v.alts, winAlts = winAlts, nil
+				// emitStage hands the list to the journal.
+				v.alts = cand.alts
 			}
-			at, err = v.stageFrom(f, dst, win)
+			ws, we, err = v.stageFrom(cand.f, dst, cand.c)
 		}
 		if err != nil {
-			e.remainingBuf = remaining[:0]
+			e.candBuf = cands[:0]
 			return 0, err
 		}
-		if at > arrival {
-			arrival = at
+		if we > arrival {
+			arrival = we
 		}
-		// Later rounds see this pass's tentative reservations.
+		if pinned {
+			continue
+		}
+		// Later rounds see this pass's reservations, so every key turns
+		// into a lower bound.
 		memo = false
+		guard := ws + gantt.OverlapEps
+		for i := range cands {
+			c := &cands[i]
+			if c.fresh {
+				c.key, c.fresh = c.c.lb, false
+			}
+			if v.unsorted {
+				c.key = math.Inf(-1)
+			} else if c.key > guard {
+				if p := we + c.c.dmin; p > c.key {
+					c.key = p
+				}
+			}
+		}
 	}
-	e.remainingBuf = remaining[:0]
+	e.candBuf = cands[:0]
 	return arrival, nil
+}
+
+// checkStaging re-prices every remaining file against the current view
+// with the literal greedy loop and hands both picks to stagingCheck.
+func (v *schedEnv) checkStaging(cands []stageCand, dst, pos int) {
+	refPos := 0
+	var ref srcChoice
+	for i := range cands {
+		if c := v.bestSource(cands[i].f, dst); i == 0 || c.tct < ref.tct {
+			refPos, ref = i, c
+		}
+	}
+	stagingCheck(dst, pos, cands[pos].c, refPos, ref)
 }
 
 // remoteResources returns the slot-search resources a remote staging
 // contends on. The returned slice aliases a per-env scratch buffer —
 // valid only until the next remoteResources call, which every caller
-// respects by spreading it straight into multiSlot.
+// respects by using it before any further search.
 func (v *schedEnv) remoteResources(home, dst int) []gantt.SlotSearcher {
 	res := append(v.remoteRes[:0], v.searcher(v.e.storageTL[home]), v.searcher(v.e.computeTL[dst]))
 	if v.e.linkTL != nil {
@@ -740,7 +872,8 @@ func (v *schedEnv) multiSlot(after, dur float64, res ...gantt.SlotSearcher) floa
 
 func (v *schedEnv) remoteTransfer(f batch.FileID, dst int) (float64, error) {
 	if v.commit && v.e.inj != nil {
-		return v.faultyTransfer(f, -1, dst, 0)
+		_, at, err := v.faultyTransfer(f, -1, dst, 0)
+		return at, err
 	}
 	p := v.e.st.P
 	home := p.Batch.Files[f].Home
@@ -750,7 +883,8 @@ func (v *schedEnv) remoteTransfer(f batch.FileID, dst int) (float64, error) {
 
 func (v *schedEnv) replicaTransfer(f batch.FileID, src, dst int, srcAt float64) (float64, error) {
 	if v.commit && v.e.inj != nil {
-		return v.faultyTransfer(f, src, dst, srcAt)
+		_, at, err := v.faultyTransfer(f, src, dst, srcAt)
+		return at, err
 	}
 	p := v.e.st.P
 	dur := float64(p.Batch.FileSize(f)) / p.Platform.ReplicaBW(src, dst)
@@ -758,9 +892,10 @@ func (v *schedEnv) replicaTransfer(f batch.FileID, src, dst int, srcAt float64) 
 }
 
 // stageFrom stages f onto dst from the source a search chose, at the
-// slot it found. Under fault injection the commit goes through
-// faultyTransfer, which draws each attempt's failures.
-func (v *schedEnv) stageFrom(f batch.FileID, dst int, c srcChoice) (float64, error) {
+// slot it found, and returns the slot [start, end) it reserved on dst.
+// Under fault injection the commit goes through faultyTransfer, which
+// draws each attempt's failures and may land the file later.
+func (v *schedEnv) stageFrom(f batch.FileID, dst int, c srcChoice) (start, end float64, err error) {
 	if v.commit && v.e.inj != nil {
 		srcAt := 0.0
 		if c.src >= 0 {
@@ -768,7 +903,8 @@ func (v *schedEnv) stageFrom(f batch.FileID, dst int, c srcChoice) (float64, err
 		}
 		return v.faultyTransfer(f, c.src, dst, srcAt)
 	}
-	return v.place(f, c.src, dst, c.start)
+	end, err = v.place(f, c.src, dst, c.start)
+	return c.start, end, err
 }
 
 // place books the transfer of f from src (-1 = f's storage home) onto
@@ -838,10 +974,10 @@ func (v *schedEnv) emitStage(f batch.FileID, src, dst int, kind string, start, d
 // slot [start, start+dur) has already been found.
 func (v *schedEnv) commitRemote(f batch.FileID, home, dst int, start, dur float64) (float64, error) {
 	size := v.e.st.P.Batch.FileSize(f)
-	v.e.storageTL[home].Reserve(start, dur, tagTransfer)
-	v.e.computeTL[dst].Reserve(start, dur, tagTransfer)
+	v.reserve(v.e.storageTL[home], start, dur, tagTransfer)
+	v.reserve(v.e.computeTL[dst], start, dur, tagTransfer)
 	if v.e.linkTL != nil {
-		v.e.linkTL.Reserve(start, dur, tagTransfer)
+		v.reserve(v.e.linkTL, start, dur, tagTransfer)
 	}
 	if err := v.e.st.AddFile(dst, f, v.e.base()+start+dur); err != nil {
 		return 0, err
@@ -870,8 +1006,8 @@ func (v *schedEnv) commitRemote(f batch.FileID, home, dst int, start, dur float6
 // [start, start+dur) has already been found.
 func (v *schedEnv) commitReplica(f batch.FileID, src, dst int, start, dur float64) (float64, error) {
 	size := v.e.st.P.Batch.FileSize(f)
-	v.e.computeTL[src].Reserve(start, dur, tagTransfer)
-	v.e.computeTL[dst].Reserve(start, dur, tagTransfer)
+	v.reserve(v.e.computeTL[src], start, dur, tagTransfer)
+	v.reserve(v.e.computeTL[dst], start, dur, tagTransfer)
 	if err := v.e.st.AddFile(dst, f, v.e.base()+start+dur); err != nil {
 		return 0, err
 	}
@@ -947,9 +1083,10 @@ func (v *schedEnv) survivingReplica(f batch.FileID, dst int, after float64) (src
 // preferring a surviving replica source (the paper's replication
 // doubling as the recovery path) before the storage cluster. src is
 // the first attempt's source (-1 = remote), srcAt its availability
-// floor. Exhausted retries or a destination crash abort the task
-// commit with a faultAbort.
-func (v *schedEnv) faultyTransfer(f batch.FileID, src, dst int, srcAt float64) (float64, error) {
+// floor. It returns the slot of the attempt that landed the file.
+// Exhausted retries or a destination crash abort the task commit with
+// a faultAbort.
+func (v *schedEnv) faultyTransfer(f batch.FileID, src, dst int, srcAt float64) (slotStart, slotEnd float64, err error) {
 	e := v.e
 	p := e.st.P
 	inj := e.inj
@@ -1005,12 +1142,12 @@ func (v *schedEnv) faultyTransfer(f batch.FileID, src, dst int, srcAt float64) (
 			}
 			e.curAttempt = 0
 			if err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 			if attempt > 1 && curSrc >= 0 {
 				e.stats.ReplicaRecoveries++
 			}
-			return at, nil
+			return start, at, nil
 		}
 
 		// The attempt dies at failAt: burn the started portion as a
@@ -1024,14 +1161,14 @@ func (v *schedEnv) faultyTransfer(f batch.FileID, src, dst int, srcAt float64) (
 		e.stats.WastedSeconds += failAt - start
 		if failAt > start {
 			if curSrc >= 0 {
-				e.computeTL[curSrc].Reserve(start, failAt-start, tagFault)
+				v.reserve(e.computeTL[curSrc], start, failAt-start, tagFault)
 			} else {
-				e.storageTL[home].Reserve(start, failAt-start, tagFault)
+				v.reserve(e.storageTL[home], start, failAt-start, tagFault)
 				if e.linkTL != nil {
-					e.linkTL.Reserve(start, failAt-start, tagFault)
+					v.reserve(e.linkTL, start, failAt-start, tagFault)
 				}
 			}
-			e.computeTL[dst].Reserve(start, failAt-start, tagFault)
+			v.reserve(e.computeTL[dst], start, failAt-start, tagFault)
 		}
 		if e.tr.Enabled() {
 			b := e.base()
@@ -1061,13 +1198,13 @@ func (v *schedEnv) faultyTransfer(f batch.FileID, src, dst int, srcAt float64) (
 			e.crashSeen[crashedNode] = true
 		}
 		if crashedNode == dst {
-			return 0, &faultAbort{node: dst, at: failAt, crash: true,
+			return 0, 0, &faultAbort{node: dst, at: failAt, crash: true,
 				reason: fmt.Sprintf("node %d crashed while staging file %d", dst, f)}
 		}
 		e.stats.TransferRetries++
 		after = failAt + inj.Backoff(attempt+1)
 	}
-	return 0, &faultAbort{node: dst, at: after,
+	return 0, 0, &faultAbort{node: dst, at: after,
 		reason: fmt.Sprintf("staging file %d onto node %d: all %d transfer attempts failed", f, dst, inj.MaxTransferRetries())}
 }
 

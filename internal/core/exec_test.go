@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/batch"
+	"repro/internal/gantt"
+	"repro/internal/obs"
 	"repro/internal/platform"
 )
 
@@ -220,5 +222,50 @@ func TestExecuteNoStagingDuringExecutionOnNode(t *testing.T) {
 	want := 2*1.0 + 2*(0.25+0.5)
 	if diff := stats.Makespan - want; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("makespan = %v, want %v", stats.Makespan, want)
+	}
+}
+
+// TestStageInputsUnsortedMidPass pins the mid-pass fallback of the
+// staging loop's lower bounds: when a staging reservation leaves an
+// overlay's interval ends unsorted, every later round re-prices every
+// remaining file. A 1-byte replica (0.09 ns, under OverlapEps) whose
+// source copy arrives just inside the eps window of a tentative busy
+// interval wins the first round and lands under that interval's end;
+// the two tied remote files after it must then both be re-priced.
+func TestStageInputsUnsortedMidPass(t *testing.T) {
+	b := batch.New()
+	z := b.AddFile("z", 1, 0)
+	f := b.AddFile("f", 10*platform.MB, 0)
+	g := b.AddFile("g", 10*platform.MB, 0)
+	task := b.AddTask("t", 1, []batch.FileID{z, f, g})
+	p := &Problem{Batch: b, Platform: platform.Uniform(2, 1, 0, 10*platform.MB, 10*platform.GB)}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewState(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newExecutor(st, &SubPlan{Tasks: []batch.TaskID{task}, Node: map[batch.TaskID]int{task: 0}}, false, obs.Nop, nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.storageTL[0].Reserve(0, 100, tagFault) // remote copies wait until 100
+	v := e.tentativeEnv()
+	v.reserve(e.computeTL[0], 5, 5, tagExec)
+	v.setAvail(1, z, 5+gantt.OverlapEps/2)
+	rounds, bad := CheckLazyStaging(func() {
+		if _, err = v.stageInputs([]batch.FileID{z, f, g}, 0, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, m := range bad {
+		t.Error(m)
+	}
+	if !v.unsorted || rounds != 3 {
+		t.Fatalf("unsorted = %v after %d rounds; the replica should leave the overlay unsorted", v.unsorted, rounds)
+	}
+	if e.stats.Probes != 6 || e.stats.BoundSkips != 0 {
+		t.Fatalf("Probes/BoundSkips = %d/%d, want 6/0", e.stats.Probes, e.stats.BoundSkips)
 	}
 }

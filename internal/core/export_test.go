@@ -6,6 +6,7 @@ import (
 	"reflect"
 
 	"repro/internal/batch"
+	"repro/internal/obs"
 	"repro/internal/obs/journal"
 )
 
@@ -43,4 +44,51 @@ func CheckProbeReuse(fn func()) (ReuseChecks, []string) {
 	defer func() { probeReuseCheck = nil }()
 	fn()
 	return n, bad
+}
+
+// CheckLazyStaging runs fn with every non-pinned greedy round of the
+// staging loop re-verified: a fresh bestSource over every remaining
+// file, reduced by the literal strict-< loop, must pick the same
+// position and the same (src, start, tct) bits as the lower-bound
+// loop. It returns the number of rounds checked and one line per
+// mismatch. Not safe to call from parallel tests.
+func CheckLazyStaging(fn func()) (int, []string) {
+	var rounds int
+	var bad []string
+	stagingCheck = func(dst, pos int, got srcChoice, refPos int, ref srcChoice) {
+		rounds++
+		if pos != refPos || got.src != ref.src ||
+			math.Float64bits(got.start) != math.Float64bits(ref.start) ||
+			math.Float64bits(got.tct) != math.Float64bits(ref.tct) {
+			bad = append(bad, fmt.Sprintf("node %d: lazy pick %d %+v, full re-price %d %+v", dst, pos, got, refPos, ref))
+		}
+	}
+	defer func() { stagingCheck = nil }()
+	fn()
+	return rounds, bad
+}
+
+// Booking is one busy interval reserved before a sub-batch runs: on
+// storage node Node when Storage is set, else on compute node Node.
+type Booking struct {
+	Storage    bool
+	Node       int
+	Start, Dur float64
+}
+
+// ExecuteBooked is Execute with the given intervals reserved (as
+// faults) on the sub-batch's fresh timelines first.
+func ExecuteBooked(st *State, plan *SubPlan, bookings []Booking) (*ExecStats, error) {
+	e, err := newExecutor(st, plan, false, obs.Nop, nil, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range bookings {
+		tl := e.computeTL[b.Node]
+		if b.Storage {
+			tl = e.storageTL[b.Node]
+		}
+		tl.Reserve(b.Start, b.Dur, tagFault)
+	}
+	return e.run()
 }

@@ -17,12 +17,15 @@ import (
 	"repro/internal/workload"
 )
 
-// TestProbeReuseExact pins that the executor's two source-search
-// reuses are exact: every greedy winner staged from its probe's slot
-// and every commit-epoch memo hit is re-verified against a fresh
-// bestSource over the same view, across schedulers, fault injection
-// with speculation, and limited disk.
-func TestProbeReuseExact(t *testing.T) {
+// exactnessRuns runs every configuration of the executor-exactness
+// matrix through run: the four schedulers (a tiny IP model, whose
+// pinned plans reach the dynamic staging loop only through twin
+// planning) × three seeds × {no faults, harsh faults with single-fork
+// speculation} × {unlimited, limited disk}, with the journal on for odd
+// seeds so journaled commits hand the winner's alternatives list
+// through.
+func exactnessRuns(t *testing.T, run func(name string, p *core.Problem, s core.Scheduler, opt core.RunOptions)) {
+	t.Helper()
 	problem := func(seed int64, tasks, nodes int, limited bool) *core.Problem {
 		b, err := workload.Image(workload.ImageConfig{NumTasks: tasks, Overlap: workload.HighOverlap, NumStorage: 2, Seed: seed})
 		if err != nil {
@@ -50,26 +53,25 @@ func TestProbeReuseExact(t *testing.T) {
 	type arm struct {
 		name         string
 		tasks, nodes int
+		seeds        []int64
 		make         func(seed int64) core.Scheduler
 	}
 	arms := []arm{
-		{"MinMin", 40, 4, func(int64) core.Scheduler { return minmin.New() }},
-		{"JDP", 40, 4, func(int64) core.Scheduler { return jdp.New() }},
-		{"BiPartition", 40, 4, func(seed int64) core.Scheduler { return bipart.New(seed) }},
-		{"IP", 6, 2, func(seed int64) core.Scheduler {
+		{"MinMin", 40, 4, []int64{1, 2, 3}, func(int64) core.Scheduler { return minmin.New() }},
+		{"JDP", 40, 4, []int64{1, 2, 3}, func(int64) core.Scheduler { return jdp.New() }},
+		{"BiPartition", 40, 4, []int64{1, 2, 3}, func(seed int64) core.Scheduler { return bipart.New(seed) }},
+		// Seeds whose IP model solves in milliseconds; seed 4's harsh
+		// run forks twins.
+		{"IP", 8, 2, []int64{2, 3, 4}, func(seed int64) core.Scheduler {
 			ip := ipsched.New(seed)
 			ip.AllocBudget, ip.SelectBudget = time.Minute, time.Minute
 			return ip
 		}},
 	}
-	var total core.ReuseChecks
-	var multiRound, twins int
 	for _, a := range arms {
-		for seed := int64(1); seed <= 3; seed++ {
+		for _, seed := range a.seeds {
 			for _, faulty := range []bool{false, true} {
 				for _, limited := range []bool{false, true} {
-					name := fmt.Sprintf("%s/seed%d/faults=%v/limited=%v", a.name, seed, faulty, limited)
-					p := problem(seed, a.tasks, a.nodes, limited)
 					opt := core.RunOptions{Checked: true}
 					if faulty {
 						fp, err := faults.Parse("harsh,mttf=120,budget=12")
@@ -84,32 +86,43 @@ func TestProbeReuseExact(t *testing.T) {
 						opt.Faults, opt.Spec = fp, pol
 					}
 					if seed%2 == 1 {
-						// Journaled commits also hand the winner's
-						// alternatives list through.
 						opt.Obs.Journal = journal.New()
 					}
-					var res *core.Result
-					var err error
-					n, bad := core.CheckProbeReuse(func() { res, err = core.RunWith(p, a.make(seed), opt) })
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					for _, m := range bad {
-						t.Errorf("%s: %s", name, m)
-					}
-					if got := n.PassThroughs + n.MemoHits; got != res.ProbeReuses {
-						t.Errorf("%s: %d reuses checked, ProbeReuses = %d", name, got, res.ProbeReuses)
-					}
-					total.PassThroughs += n.PassThroughs
-					total.MemoHits += n.MemoHits
-					if res.SubBatches > 1 {
-						multiRound++
-					}
-					twins += res.SpecLaunches
+					run(fmt.Sprintf("%s/seed%d/faults=%v/limited=%v", a.name, seed, faulty, limited),
+						problem(seed, a.tasks, a.nodes, limited), a.make(seed), opt)
 				}
 			}
 		}
 	}
+}
+
+// TestProbeReuseExact pins that the executor's two source-search
+// reuses are exact: every greedy winner staged from its probe's slot
+// and every commit-epoch memo hit is re-verified against a fresh
+// bestSource over the same view, across the exactness matrix.
+func TestProbeReuseExact(t *testing.T) {
+	var total core.ReuseChecks
+	var multiRound, twins int
+	exactnessRuns(t, func(name string, p *core.Problem, s core.Scheduler, opt core.RunOptions) {
+		var res *core.Result
+		var err error
+		n, bad := core.CheckProbeReuse(func() { res, err = core.RunWith(p, s, opt) })
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, m := range bad {
+			t.Errorf("%s: %s", name, m)
+		}
+		if got := n.PassThroughs + n.MemoHits; got != res.ProbeReuses {
+			t.Errorf("%s: %d reuses checked, ProbeReuses = %d", name, got, res.ProbeReuses)
+		}
+		total.PassThroughs += n.PassThroughs
+		total.MemoHits += n.MemoHits
+		if res.SubBatches > 1 {
+			multiRound++
+		}
+		twins += res.SpecLaunches
+	})
 	if total.PassThroughs == 0 || total.MemoHits == 0 || multiRound == 0 || twins == 0 {
 		t.Fatalf("paths not exercised: %+v, %d multi-sub-batch runs, %d twins", total, multiRound, twins)
 	}

@@ -292,6 +292,7 @@ func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 	ob.Metrics.Count("core.evictions", int64(res.Evictions))
 	ob.Metrics.Count("core.exec.probes", int64(res.Probes))
 	ob.Metrics.Count("core.exec.probe_reuses", int64(res.ProbeReuses))
+	ob.Metrics.Count("core.exec.bound_skips", int64(res.BoundSkips))
 	ob.Metrics.Count("core.exec.ect_reevals", int64(res.ECTReevals))
 	ob.Metrics.SetGauge("core.makespan_s", res.Makespan)
 	j.Emit(journal.Event{T: st.Clock, Kind: journal.KindRunEnd, Round: res.SubBatches,

@@ -21,7 +21,7 @@ func FuzzTimelineReserve(f *testing.F) {
 				continue
 			}
 			s := tl.EarliestSlot(after, dur)
-			if s < after-overlapEps {
+			if s < after-OverlapEps {
 				t.Fatalf("EarliestSlot(%g, %g) returned %g before the requested time", after, dur, s)
 			}
 			tl.Reserve(s, dur, int32(i)) // panics on overlap — the fuzzer would catch it

@@ -93,6 +93,10 @@ type Timeline struct {
 	n      int
 	// flat caches the Intervals() view; nil after any mutation.
 	flat []Interval
+	// unsorted records that some interval ends after its successor (see
+	// EndsSorted). It is sticky: an inverted pair stays inverted under
+	// further inserts, so only Reset clears it.
+	unsorted bool
 }
 
 // recalcMeta recomputes the summary of meta mi from its chunk run.
@@ -145,7 +149,18 @@ func (t *Timeline) Reset() {
 	t.metas = t.metas[:0]
 	t.n = 0
 	t.flat = nil
+	t.unsorted = false
 }
+
+// EndsSorted reports whether the interval ends are non-decreasing in
+// start order. Reserve tolerates OverlapEps of overlap, so a
+// reservation shorter than that (a sub-eps partial fault or transfer)
+// can end before its predecessor does. Slot searches binary-search
+// on End, and only while the ends are sorted does a search return the
+// least fitting start; then EarliestSlot never decreases when a
+// reservation is added, and a returned slot [s, s+dur) satisfies, for
+// every interval, s+dur <= Start+OverlapEps or s >= End.
+func (t *Timeline) EndsSorted() bool { return !t.unsorted }
 
 // Len returns the number of busy intervals.
 func (t *Timeline) Len() int { return t.n }
@@ -208,11 +223,14 @@ func (t *Timeline) Reserve(start, dur float64, tag int32) {
 	} else if ci+1 < len(t.chunks) {
 		next = &t.chunks[ci+1].ivs[0]
 	}
-	if prev != nil && prev.End > start+overlapEps {
+	if prev != nil && prev.End > start+OverlapEps {
 		panic(fmt.Sprintf("gantt: reservation [%g,%g) overlaps [%g,%g)", start, end, prev.Start, prev.End))
 	}
-	if next != nil && next.Start < end-overlapEps {
+	if next != nil && next.Start < end-OverlapEps {
 		panic(fmt.Sprintf("gantt: reservation [%g,%g) overlaps [%g,%g)", start, end, next.Start, next.End))
+	}
+	if (prev != nil && prev.End > end) || (next != nil && end > next.End) {
+		t.unsorted = true
 	}
 	c := &t.chunks[ci]
 	c.ivs = append(c.ivs, Interval{})
@@ -267,8 +285,8 @@ func (t *Timeline) BusyTime() float64 {
 	return sum
 }
 
-// overlapEps tolerates floating-point slop when two reservations abut.
-const overlapEps = 1e-9
+// OverlapEps tolerates floating-point slop when two reservations abut.
+const OverlapEps = 1e-9
 
 // slotSearch finds the first gap of length dur at or after `after`,
 // merge-scanning the timeline's intervals with the (small, sorted)
@@ -308,8 +326,8 @@ func (t *Timeline) slotSearch(extra []Interval, after, dur float64) float64 {
 				if ci%metaFan == 0 {
 					m := &t.metas[ci/metaFan]
 					if (j >= len(extra) || extra[j].Start >= m.maxEnd) &&
-						cur+dur > m.firstStart+overlapEps &&
-						dur > m.maxGap+2*overlapEps+1e-12*(1+m.maxAbsEnd) {
+						cur+dur > m.firstStart+OverlapEps &&
+						dur > m.maxGap+2*OverlapEps+1e-12*(1+m.maxAbsEnd) {
 						if m.maxEnd > cur {
 							cur = m.maxEnd
 						}
@@ -325,8 +343,8 @@ func (t *Timeline) slotSearch(extra []Interval, after, dur float64) float64 {
 				// skip never hides a fit the exact scan would find.
 				last := c.last()
 				if (j >= len(extra) || extra[j].Start >= last.End) &&
-					cur+dur > c.first().Start+overlapEps &&
-					dur > c.maxGap+2*overlapEps+1e-12*(1+math.Abs(last.End)) {
+					cur+dur > c.first().Start+OverlapEps &&
+					dur > c.maxGap+2*OverlapEps+1e-12*(1+math.Abs(last.End)) {
 					if last.End > cur {
 						cur = last.End
 					}
@@ -343,7 +361,7 @@ func (t *Timeline) slotSearch(extra []Interval, after, dur float64) float64 {
 		} else if j < len(extra) {
 			next = &extra[j]
 		}
-		if next == nil || cur+dur <= next.Start+overlapEps {
+		if next == nil || cur+dur <= next.Start+OverlapEps {
 			return cur
 		}
 		if next.End > cur {
@@ -364,6 +382,8 @@ func (t *Timeline) slotSearch(extra []Interval, after, dur float64) float64 {
 type Overlay struct {
 	base  *Timeline
 	extra []Interval // sorted by Start
+	// unsorted is the tentative set's sticky EndsSorted flag.
+	unsorted bool
 }
 
 // NewOverlay wraps base with an empty tentative set.
@@ -373,11 +393,20 @@ func NewOverlay(base *Timeline) *Overlay { return &Overlay{base: base} }
 func (o *Overlay) Reset(base *Timeline) {
 	o.base = base
 	o.extra = o.extra[:0]
+	o.unsorted = false
 }
 
 // Clear drops the tentative reservations, keeping the base — for
 // callers that cache overlays keyed by their base timeline.
-func (o *Overlay) Clear() { o.extra = o.extra[:0] }
+func (o *Overlay) Clear() {
+	o.extra = o.extra[:0]
+	o.unsorted = false
+}
+
+// EndsSorted reports whether both the base timeline and the tentative
+// set have non-decreasing interval ends (see Timeline.EndsSorted; the
+// two lists are searched separately, so each needs it on its own).
+func (o *Overlay) EndsSorted() bool { return !o.unsorted && o.base.EndsSorted() }
 
 // TentativeLen returns the number of tentative reservations.
 func (o *Overlay) TentativeLen() int { return len(o.extra) }
@@ -386,6 +415,9 @@ func (o *Overlay) TentativeLen() int { return len(o.extra) }
 func (o *Overlay) Add(start, dur float64) {
 	iv := Interval{Start: start, End: start + dur}
 	i := sort.Search(len(o.extra), func(i int) bool { return o.extra[i].Start >= iv.Start })
+	if (i > 0 && o.extra[i-1].End > iv.End) || (i < len(o.extra) && iv.End > o.extra[i].End) {
+		o.unsorted = true
+	}
 	o.extra = append(o.extra, Interval{})
 	copy(o.extra[i+1:], o.extra[i:])
 	o.extra[i] = iv
@@ -417,7 +449,7 @@ func earliestSlot(a, b []Interval, after, dur float64) float64 {
 		} else if j < len(b) {
 			next = &b[j]
 		}
-		if next == nil || t+dur <= next.Start+overlapEps {
+		if next == nil || t+dur <= next.Start+OverlapEps {
 			return t
 		}
 		if next.End > t {
@@ -467,6 +499,7 @@ func MultiSlot(after, dur float64, res ...SlotSearcher) float64 {
 // SlotSearcher is the common query interface of Timeline and Overlay.
 type SlotSearcher interface {
 	EarliestSlot(after, dur float64) float64
+	EndsSorted() bool
 }
 
 // Makespan returns the max finish time across timelines.

@@ -101,7 +101,7 @@ func TestTimelineSortedAfterRandomOps(t *testing.T) {
 			if i > 0 && ivs[i-1].Start > iv.Start {
 				t.Fatalf("case %d: intervals out of order at %d: %v after %v", c, i, iv, ivs[i-1])
 			}
-			if i > 0 && ivs[i-1].End > iv.Start+overlapEps {
+			if i > 0 && ivs[i-1].End > iv.Start+OverlapEps {
 				t.Fatalf("case %d: intervals overlap at %d: %v and %v", c, i, ivs[i-1], iv)
 			}
 			if iv.End > maxEnd {
@@ -120,23 +120,23 @@ func TestTimelineSortedAfterRandomOps(t *testing.T) {
 
 // TestOverlayEpsBoundaries covers the merge-scan's float-slop edge
 // cases: tentative intervals that abut or overlap committed ones
-// within overlapEps must behave exactly like exact abutment.
+// within OverlapEps must behave exactly like exact abutment.
 func TestOverlayEpsBoundaries(t *testing.T) {
 	tl := NewTimeline()
-	tl.Reserve(0, 5, 1)   // [0,5)
-	tl.Reserve(10, 5, 1)  // [10,15)
+	tl.Reserve(0, 5, 1)  // [0,5)
+	tl.Reserve(10, 5, 1) // [10,15)
 	ov := NewOverlay(tl)
 
 	// Tentative interval eps-overlapping the committed [0,5): starts
-	// overlapEps/2 early; the pair still reads as one busy block.
-	ov.Add(5-overlapEps/2, 2) // ~[5,7)
-	if got := ov.EarliestSlot(0, 3); got != 7-overlapEps/2 {
-		t.Fatalf("slot after eps-abutting pair = %v, want %v", got, 7-overlapEps/2)
+	// OverlapEps/2 early; the pair still reads as one busy block.
+	ov.Add(5-OverlapEps/2, 2) // ~[5,7)
+	if got := ov.EarliestSlot(0, 3); got != 7-OverlapEps/2 {
+		t.Fatalf("slot after eps-abutting pair = %v, want %v", got, 7-OverlapEps/2)
 	}
 	// A 3-unit request at the remaining [7,10) gap fits because the
 	// eps slop absorbs the overhang.
-	if got := ov.EarliestSlot(0, 3+overlapEps/4); got != 7-overlapEps/2 {
-		t.Fatalf("slot within eps of gap end = %v, want %v", got, 7-overlapEps/2)
+	if got := ov.EarliestSlot(0, 3+OverlapEps/4); got != 7-OverlapEps/2 {
+		t.Fatalf("slot within eps of gap end = %v, want %v", got, 7-OverlapEps/2)
 	}
 	// Anything clearly larger than the gap must jump past [10,15).
 	if got := ov.EarliestSlot(0, 3.001); got != 15 {
@@ -159,12 +159,12 @@ func TestOverlayEpsBoundaries(t *testing.T) {
 	// Tentative interval fully inside a committed gap, shifted by eps:
 	// the index and the reference must agree on all of these shapes.
 	ov3 := NewOverlay(tl)
-	ov3.Add(6+overlapEps, 2)
+	ov3.Add(6+OverlapEps, 2)
 	flat := append([]Interval(nil), tl.Intervals()...)
-	extra := []Interval{{Start: 6 + overlapEps, End: 8 + overlapEps}}
+	extra := []Interval{{Start: 6 + OverlapEps, End: 8 + OverlapEps}}
 	for _, q := range []struct{ after, dur float64 }{
-		{0, 1}, {0, 1 + overlapEps}, {5, 1}, {5 + overlapEps, 1},
-		{0, 2 - overlapEps}, {8, 2 - overlapEps}, {8, 2 + overlapEps}, {0, 6},
+		{0, 1}, {0, 1 + OverlapEps}, {5, 1}, {5 + OverlapEps, 1},
+		{0, 2 - OverlapEps}, {8, 2 - OverlapEps}, {8, 2 + OverlapEps}, {0, 6},
 	} {
 		got := ov3.EarliestSlot(q.after, q.dur)
 		want := earliestSlot(flat, extra, q.after, q.dur)

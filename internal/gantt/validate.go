@@ -127,7 +127,7 @@ func (s *Schedule) Validate() []string {
 			at, ok := avail[nodeFile{t.Node, f}]
 			if !ok {
 				v = append(v, fmt.Sprintf("task %d starts on compute[%d] without input file %d ever staged there", t.Task, t.Node, f))
-			} else if at > t.Start+overlapEps {
+			} else if at > t.Start+OverlapEps {
 				v = append(v, fmt.Sprintf("task %d starts at %g on compute[%d] but input file %d only arrives at %g", t.Task, t.Start, t.Node, f, at))
 			}
 		}
@@ -160,7 +160,7 @@ func appendTimelineViolations(v []string, name string, t *Timeline) []string {
 			if iv.Start < prev.Start {
 				v = append(v, fmt.Sprintf("%s intervals out of order: [%g,%g) after [%g,%g)", name, iv.Start, iv.End, prev.Start, prev.End))
 			}
-			if prev.End > iv.Start+overlapEps {
+			if prev.End > iv.Start+OverlapEps {
 				v = append(v, fmt.Sprintf("%s reservations overlap: [%g,%g) and [%g,%g)", name, prev.Start, prev.End, iv.Start, iv.End))
 			}
 		}
