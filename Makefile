@@ -60,7 +60,9 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzTimelineReserve -fuzztime=5s ./internal/gantt/
 	$(GO) test -run='^$$' -fuzz=FuzzSlotMonotone -fuzztime=5s ./internal/gantt/
 	$(GO) test -run='^$$' -fuzz=FuzzFaultPlan -fuzztime=5s ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzStateOps -fuzztime=5s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzMinMinEquivalence -fuzztime=5s ./internal/sched/minmin/
+	$(GO) test -run='^$$' -fuzz=FuzzJDPEquivalence -fuzztime=5s ./internal/sched/jdp/
 
 # The fault-injection suite under the race detector plus the full
 # chaos experiment matrix: every deterministic-recovery property

@@ -90,18 +90,28 @@ func (b *Batch) NumFiles() int { return len(b.Files) }
 func (b *Batch) Finalize() error {
 	nf := len(b.Files)
 	b.require = make([][]TaskID, nf)
+	// seen[f] == ti+1 marks file f as already listed by task ti.
+	seen := make([]int32, nf)
 	for ti := range b.Tasks {
 		t := &b.Tasks[ti]
-		seen := make(map[FileID]bool, len(t.Files))
+		var bytes int64
 		for _, f := range t.Files {
 			if int(f) < 0 || int(f) >= nf {
 				return fmt.Errorf("batch: task %d references unknown file %d", ti, f)
 			}
-			if seen[f] {
+			if seen[f] == int32(ti+1) {
 				return fmt.Errorf("batch: task %d lists file %d twice", ti, f)
 			}
-			seen[f] = true
+			seen[f] = int32(ti + 1)
 			b.require[f] = append(b.require[f], TaskID(ti))
+			// TaskBytes and the disk check need the sum to fit in an
+			// int64. Non-positive sizes are rejected below.
+			if size := b.Files[f].Size; size > 0 {
+				if bytes > math.MaxInt64-size {
+					return fmt.Errorf("batch: task %d's input files total more than %d B", ti, int64(math.MaxInt64))
+				}
+				bytes += size
+			}
 		}
 		if !(t.Compute >= 0) || math.IsInf(t.Compute, 1) {
 			return fmt.Errorf("batch: task %d has a negative or non-finite compute time", ti)

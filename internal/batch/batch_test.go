@@ -77,6 +77,13 @@ func TestFinalizeRejects(t *testing.T) {
 	if err := b3.Finalize(); err == nil {
 		t.Fatal("zero-size file not rejected")
 	}
+	b5 := New()
+	big0 := b5.AddFile("big0", 1<<62, 0)
+	big1 := b5.AddFile("big1", 1<<62, 0)
+	b5.AddTask("huge", 1, []FileID{big0, big1})
+	if err := b5.Finalize(); err == nil {
+		t.Fatal("task input bytes overflowing int64 not rejected")
+	}
 	for _, c := range []float64{-1, math.NaN(), math.Inf(1)} {
 		b4 := New()
 		f := b4.AddFile("a", 100, 0)

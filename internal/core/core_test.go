@@ -195,3 +195,22 @@ func TestValidateRejectsTooSmallDisk(t *testing.T) {
 		t.Fatal("expected validation error: node disk smaller than a task's working set")
 	}
 }
+
+// A task whose input bytes overflow int64 must be rejected by
+// validation. Unchecked, the sum wraps negative, slips past the disk
+// check, and every scheduler panics in the gantt layer on a negative
+// transfer duration.
+func TestRunRejectsOverflowingTaskBytes(t *testing.T) {
+	for _, s := range schedulers() {
+		t.Run(s.Name(), func(t *testing.T) {
+			b := batch.New()
+			f0 := b.AddFile("a", 1<<62, 0)
+			f1 := b.AddFile("b", 1<<62, 0)
+			b.AddTask("t", 1, []batch.FileID{f0, f1})
+			p := &core.Problem{Batch: b, Platform: platform.XIO(2, 1, 1<<40)}
+			if _, err := core.RunWith(p, s, core.RunOptions{Checked: true}); err == nil {
+				t.Fatal("RunWith accepted a task whose input bytes overflow int64")
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -149,15 +150,12 @@ type executor struct {
 	computeTL []*gantt.Timeline
 	linkTL    *gantt.Timeline
 
-	// avail[n][f] is the committed availability time of file f on
-	// compute node n within this sub-batch; negative means absent.
-	avail [][]float64
-	// holders[f] lists, in ascending node order, the compute nodes with
-	// avail[n][f] >= 0 — the inverse of avail, so source searches visit
-	// only actual copies instead of every node. Nodes are only ever
-	// added (avail never drops below zero within a sub-batch), which
-	// keeps the lists sorted by construction.
-	holders [][]int32
+	// holders[f] lists, in ascending node order, the compute nodes
+	// holding f within this sub-batch, each with the committed
+	// availability time of its copy, so source searches visit only
+	// actual copies instead of every node. Copies are only ever added
+	// within a sub-batch (see committedAt and setAvail).
+	holders [][]fileCopy
 
 	// tentEnv is the reusable tentative scheduling environment for ECT
 	// probes: its overlays, scratch tables and visiting set are cleared
@@ -281,21 +279,25 @@ func newExecutor(st *State, plan *SubPlan, traced bool, tr obs.Tracer, inj *faul
 			e.trace.InitUsed[n] = st.Used(n)
 		}
 	}
-	e.avail = make([][]float64, p.Platform.NumCompute())
-	e.holders = make([][]int32, nf)
-	for n := range e.avail {
-		e.avail[n] = make([]float64, nf)
-		for f := range e.avail[n] {
-			if st.Holds(n, batch.FileID(f)) {
-				e.avail[n][f] = 0
-				e.holders[f] = append(e.holders[f], int32(n)) // n ascends: stays sorted
-				if e.trace != nil {
-					e.trace.InitHeld[n] = append(e.trace.InitHeld[n], f)
-				}
-			} else {
-				e.avail[n][f] = -1
+	// Every copy the sub-batch starts with is available at time 0. The
+	// per-file lists share one backing array; each is capped at its own
+	// length, so a list that grows reallocates alone.
+	total := 0
+	for _, cs := range st.copies {
+		total += len(cs)
+	}
+	backing := make([]fileCopy, total)
+	e.holders = make([][]fileCopy, nf)
+	for f, cs := range st.copies {
+		hs := backing[:len(cs):len(cs)]
+		backing = backing[len(cs):]
+		for i, c := range cs {
+			hs[i].node = c.node
+			if e.trace != nil {
+				e.trace.InitHeld[c.node] = append(e.trace.InitHeld[c.node], f) // f ascends: stays sorted
 			}
 		}
+		e.holders[f] = hs
 	}
 	if plan.Pinned {
 		e.planned = make(map[stageKey]Staging, len(plan.Staging))
@@ -395,8 +397,17 @@ func (e *executor) tentativeEnv() *schedEnv {
 	return v
 }
 
+// committedAt returns the committed availability time of file f on
+// compute node n within this sub-batch, and whether n holds f at all.
+func (e *executor) committedAt(n int, f batch.FileID) (float64, bool) {
+	if i, ok := findCopy(e.holders[f], n); ok {
+		return e.holders[f][i].at, true
+	}
+	return 0, false
+}
+
 func (v *schedEnv) availOn(n int, f batch.FileID) (float64, bool) {
-	if a := v.e.avail[n][f]; a >= 0 {
+	if a, ok := v.e.committedAt(n, f); ok {
 		return a, true
 	}
 	if !v.commit {
@@ -409,10 +420,12 @@ func (v *schedEnv) availOn(n int, f batch.FileID) (float64, bool) {
 
 func (v *schedEnv) setAvail(n int, f batch.FileID, at float64) {
 	if v.commit {
-		if v.e.avail[n][f] < 0 {
-			v.e.addHolder(f, n)
+		e := v.e
+		if i, ok := findCopy(e.holders[f], n); ok {
+			e.holders[f][i].at = at
+		} else {
+			e.holders[f] = slices.Insert(e.holders[f], i, fileCopy{int32(n), at})
 		}
-		v.e.avail[n][f] = at
 		return
 	}
 	key := stageKey{f, n}
@@ -443,17 +456,6 @@ func (v *schedEnv) scratchHolders(f batch.FileID) []int32 {
 		return v.scratchPool[pi]
 	}
 	return nil
-}
-
-// addHolder records node n as a committed holder of f, preserving the
-// ascending order of the per-file list.
-func (e *executor) addHolder(f batch.FileID, n int) {
-	lst := e.holders[f]
-	i := sort.Search(len(lst), func(i int) bool { return lst[i] >= int32(n) })
-	lst = append(lst, 0)
-	copy(lst[i+1:], lst[i:])
-	lst[i] = int32(n)
-	e.holders[f] = lst
 }
 
 func (v *schedEnv) searcher(tl *gantt.Timeline) gantt.SlotSearcher {
@@ -585,13 +587,16 @@ func (v *schedEnv) bestSource(f batch.FileID, dst int) srcChoice {
 	// Visit only the nodes that hold (or are tentatively scheduled to
 	// receive) the file, merging the two ascending holder lists so the
 	// node order — and therefore every tie-break and journal entry — is
-	// exactly the filtered 0..C-1 scan this replaces.
+	// exactly the filtered 0..C-1 scan this replaces. A committed
+	// holder's availability time comes straight from its list entry.
 	hs, ts := v.e.holders[f], v.scratchHolders(f)
 	hi, ti := 0, 0
 	for hi < len(hs) || ti < len(ts) {
 		var j int
-		if hi < len(hs) && (ti >= len(ts) || hs[hi] <= ts[ti]) {
-			j = int(hs[hi])
+		var at float64
+		held := false
+		if hi < len(hs) && (ti >= len(ts) || hs[hi].node <= ts[ti]) {
+			j, at, held = int(hs[hi].node), hs[hi].at, true
 			hi++
 		} else {
 			j = int(ts[ti])
@@ -600,9 +605,10 @@ func (v *schedEnv) bestSource(f batch.FileID, dst int) srcChoice {
 		if j == dst {
 			continue
 		}
-		at, ok := v.availOn(j, f)
-		if !ok {
-			continue
+		if !held {
+			if at, held = v.availOn(j, f); !held {
+				continue
+			}
 		}
 		rdur := float64(size) / pf.ReplicaBW(j, dst)
 		if rdur < dmin {
@@ -1049,8 +1055,10 @@ func (v *schedEnv) survivingReplica(f batch.FileID, dst int, after float64) (src
 	hi, ti := 0, 0
 	for hi < len(hs) || ti < len(ts) {
 		var j int
-		if hi < len(hs) && (ti >= len(ts) || hs[hi] <= ts[ti]) {
-			j = int(hs[hi])
+		var at float64
+		held := false
+		if hi < len(hs) && (ti >= len(ts) || hs[hi].node <= ts[ti]) {
+			j, at, held = int(hs[hi].node), hs[hi].at, true
 			hi++
 		} else {
 			j = int(ts[ti])
@@ -1059,9 +1067,10 @@ func (v *schedEnv) survivingReplica(f batch.FileID, dst int, after float64) (src
 		if j == dst {
 			continue
 		}
-		at, held := v.availOn(j, f)
 		if !held {
-			continue
+			if at, held = v.availOn(j, f); !held {
+				continue
+			}
 		}
 		jdur := float64(size) / p.Platform.ReplicaBW(j, dst)
 		jstart := v.multiSlot(math.Max(after, at), jdur, v.searcher(e.computeTL[j]), v.searcher(e.computeTL[dst]))
@@ -1367,7 +1376,7 @@ func (e *executor) plannedBytesOutstanding(j int) int64 {
 			continue
 		}
 		for _, f := range e.st.P.Batch.Tasks[t].Files {
-			if e.avail[j][f] >= 0 || seen[f] {
+			if _, held := e.committedAt(j, f); held || seen[f] {
 				continue
 			}
 			seen[f] = true
@@ -1563,7 +1572,7 @@ func (e *executor) trySpeculate(v *schedEnv, t batch.TaskID, c int, task *batch.
 		}
 		var missing int64
 		for _, f := range task.Files {
-			if e.avail[j][f] < 0 {
+			if _, held := e.committedAt(j, f); !held {
 				missing += e.st.P.Batch.FileSize(f)
 			}
 		}
@@ -1790,15 +1799,14 @@ func (e *executor) run() (*ExecStats, error) {
 	// Pre-staging ops (e.g. DataLeastLoaded replicas) commit first so
 	// every task sees the extra copies.
 	for _, op := range e.plan.PreStage {
-		if e.avail[op.Dest][op.File] >= 0 {
+		if _, held := e.committedAt(op.Dest, op.File); held {
 			continue // already there
 		}
 		e.curTask = -1 // journaled as planner-directed pre-staging
 		e.epoch++
 		v := newSchedEnv(e, true)
 		var err error
-		if op.Kind == Replica && !e.st.P.DisableReplication && e.avail[op.Src][op.File] >= 0 {
-			srcAt := e.avail[op.Src][op.File]
+		if srcAt, held := e.committedAt(op.Src, op.File); op.Kind == Replica && !e.st.P.DisableReplication && held {
 			_, err = v.replicaTransfer(op.File, op.Src, op.Dest, srcAt)
 		} else {
 			_, err = v.remoteTransfer(op.File, op.Dest)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/batch"
 	"repro/internal/obs/journal"
@@ -10,12 +11,17 @@ import (
 // State is the compute-cluster disk-cache state threaded through the
 // sub-batch loop: which files each node currently holds, how much disk
 // they consume, and recency/bookkeeping the eviction policies need.
+//
+// The cluster's copies are stored once per file, as the paper's §6
+// sees them ("the nodes that already hold the file"): copies[f] lists
+// f's compute-cluster copies in ascending node order. A file has a few
+// copies where the cluster has hundreds of nodes, so the state costs
+// O(files + copies) instead of O(nodes × files).
 type State struct {
 	P *Problem
 
-	holds   [][]bool    // [node][file]
-	used    []int64     // bytes used per node
-	lastUse [][]float64 // [node][file] absolute sim time of last use
+	copies [][]fileCopy // [file] copies, ascending node
+	used   []int64      // bytes used per node
 	// Clock is the accumulated simulated execution time of all
 	// sub-batches run so far. The executor advances it.
 	Clock float64
@@ -34,51 +40,89 @@ type State struct {
 	JRound int
 }
 
+// fileCopy is one compute-cluster copy of a file: the node holding it
+// and a time whose meaning the list's owner defines. In State.copies it
+// is the absolute sim time of the copy's last use (for LRU eviction);
+// in executor.holders, the sub-batch-relative time the copy is
+// available from.
+type fileCopy struct {
+	node int32
+	at   float64
+}
+
+// findCopy returns the position of node n's copy in the node-sorted
+// list cs, or the position where it would be inserted, and whether it
+// is there.
+func findCopy(cs []fileCopy, n int) (int, bool) {
+	lo, hi := 0, len(cs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(cs[m].node) < n {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(cs) && int(cs[lo].node) == n
+}
+
 // NewState builds the initial state: storage-cluster holds everything,
 // compute-cluster disks empty.
 func NewState(p *Problem) (*State, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	n := p.Platform.NumCompute()
-	nf := p.Batch.NumFiles()
-	st := &State{
-		P:       p,
-		holds:   make([][]bool, n),
-		used:    make([]int64, n),
-		lastUse: make([][]float64, n),
-		Done:    make([]bool, p.Batch.NumTasks()),
+	return &State{
+		P:      p,
+		copies: make([][]fileCopy, p.Batch.NumFiles()),
+		used:   make([]int64, p.Platform.NumCompute()),
+		Done:   make([]bool, p.Batch.NumTasks()),
+	}, nil
+}
+
+// remove deletes node n's copy of f, reporting whether there was one.
+func (s *State) remove(n int, f batch.FileID) bool {
+	i, ok := findCopy(s.copies[f], n)
+	if !ok {
+		return false
 	}
-	for i := 0; i < n; i++ {
-		st.holds[i] = make([]bool, nf)
-		st.lastUse[i] = make([]float64, nf)
-	}
-	return st, nil
+	s.copies[f] = slices.Delete(s.copies[f], i, i+1)
+	s.used[n] -= s.P.Batch.FileSize(f)
+	return true
 }
 
 // Holds reports whether compute node n currently holds file f.
-func (s *State) Holds(n int, f batch.FileID) bool { return s.holds[n][f] }
+func (s *State) Holds(n int, f batch.FileID) bool {
+	_, ok := findCopy(s.copies[f], n)
+	return ok
+}
 
-// Holders returns the compute nodes currently holding file f.
+// Holders returns the compute nodes currently holding file f, in
+// ascending order (nil when there are none).
 func (s *State) Holders(f batch.FileID) []int {
-	var out []int
-	for n := range s.holds {
-		if s.holds[n][f] {
-			out = append(out, n)
-		}
+	cs := s.copies[f]
+	if len(cs) == 0 {
+		return nil
+	}
+	out := make([]int, len(cs))
+	for i, c := range cs {
+		out[i] = int(c.node)
 	}
 	return out
 }
 
 // NumCopies returns the number of compute-cluster copies of file f.
-func (s *State) NumCopies(f batch.FileID) int {
-	c := 0
-	for n := range s.holds {
-		if s.holds[n][f] {
-			c++
+func (s *State) NumCopies(f batch.FileID) int { return len(s.copies[f]) }
+
+// EachCopy calls fn for every compute-cluster copy, in ascending file
+// order and, within a file, ascending node order. fn must not change
+// the state.
+func (s *State) EachCopy(fn func(n int, f batch.FileID)) {
+	for f, cs := range s.copies {
+		for _, c := range cs {
+			fn(int(c.node), batch.FileID(f))
 		}
 	}
-	return c
 }
 
 // Used returns the bytes of disk used on compute node n.
@@ -111,39 +155,42 @@ func (s *State) AggregateFree() int64 {
 // time at). It returns an error on disk-capacity violation — which
 // indicates a scheduler bug, since plans must respect capacity.
 func (s *State) AddFile(n int, f batch.FileID, at float64) error {
-	if s.holds[n][f] {
-		s.lastUse[n][f] = at
+	i, ok := findCopy(s.copies[f], n)
+	if ok {
+		s.copies[f][i].at = at
 		return nil
 	}
 	size := s.P.Batch.FileSize(f)
 	if s.Free(n) < size {
 		return fmt.Errorf("core: staging file %d (%d B) onto node %d exceeds its disk capacity (free %d B)", f, size, n, s.Free(n))
 	}
-	s.holds[n][f] = true
+	s.copies[f] = slices.Insert(s.copies[f], i, fileCopy{node: int32(n), at: at})
 	s.used[n] += size
-	s.lastUse[n][f] = at
 	return nil
 }
 
 // Touch records a use of file f on node n at absolute sim time at
 // (for LRU eviction).
 func (s *State) Touch(n int, f batch.FileID, at float64) {
-	if s.holds[n][f] && at > s.lastUse[n][f] {
-		s.lastUse[n][f] = at
+	if i, ok := findCopy(s.copies[f], n); ok && at > s.copies[f][i].at {
+		s.copies[f][i].at = at
 	}
 }
 
-// LastUse returns the most recent use time of file f on node n.
-func (s *State) LastUse(n int, f batch.FileID) float64 { return s.lastUse[n][f] }
+// LastUse returns the most recent use time of node n's copy of file f
+// (0 when n holds no copy).
+func (s *State) LastUse(n int, f batch.FileID) float64 {
+	if i, ok := findCopy(s.copies[f], n); ok {
+		return s.copies[f][i].at
+	}
+	return 0
+}
 
 // Evict removes the copy of file f from node n.
 func (s *State) Evict(n int, f batch.FileID) {
-	if !s.holds[n][f] {
-		return
+	if s.remove(n, f) {
+		s.Evictions++
 	}
-	s.holds[n][f] = false
-	s.used[n] -= s.P.Batch.FileSize(f)
-	s.Evictions++
 }
 
 // Unstage rolls back an in-flight staging of file f onto node n: the
@@ -151,14 +198,7 @@ func (s *State) Evict(n int, f batch.FileID) {
 // scheduling decision; a cancelled speculative transfer is not).
 // Used when a speculative twin loses the first-finisher race while
 // its inputs are still arriving.
-func (s *State) Unstage(n int, f batch.FileID) {
-	if !s.holds[n][f] {
-		return
-	}
-	s.holds[n][f] = false
-	s.used[n] -= s.P.Batch.FileSize(f)
-	s.lastUse[n][f] = 0
-}
+func (s *State) Unstage(n int, f batch.FileID) { s.remove(n, f) }
 
 // DropNode models a node crash: every file copy on compute node n is
 // lost and its disk empties. Crash losses are not counted as
@@ -166,24 +206,28 @@ func (s *State) Unstage(n int, f batch.FileID) {
 // Returns the number of file copies dropped.
 func (s *State) DropNode(n int) int {
 	dropped := 0
-	for f := range s.holds[n] {
-		if s.holds[n][f] {
-			s.holds[n][f] = false
+	for f := range s.copies {
+		if s.remove(n, batch.FileID(f)) {
 			dropped++
 		}
-		s.lastUse[n][f] = 0
 	}
-	s.used[n] = 0
 	return dropped
 }
 
-// PresentMatrix returns a copy of the holds matrix, for scheduler
-// formulations that need the full placement snapshot.
+// PresentMatrix returns a [node][file] snapshot of the copies, for
+// scheduler formulations that need the full placement matrix. The rows
+// share one backing array.
 func (s *State) PresentMatrix() [][]bool {
-	out := make([][]bool, len(s.holds))
-	for i := range s.holds {
-		out[i] = make([]bool, len(s.holds[i]))
-		copy(out[i], s.holds[i])
+	nf := len(s.copies)
+	out := make([][]bool, len(s.used))
+	flat := make([]bool, len(out)*nf)
+	for i := range out {
+		out[i] = flat[i*nf : (i+1)*nf : (i+1)*nf]
+	}
+	for f, cs := range s.copies {
+		for _, c := range cs {
+			out[c.node][f] = true
+		}
 	}
 	return out
 }

@@ -21,6 +21,7 @@
 package eviction
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/batch"
@@ -73,31 +74,44 @@ func LRUKeep(st *core.State, pending []batch.TaskID, keep float64) {
 
 // evictTo deletes copies per node, lowest value first, until the node
 // holds at most keep·capacity of cached bytes and has room for the
-// largest pending task. Values are computed once per round (Numcopies
-// drift within a round is second-order).
+// largest pending task. Each node's values are computed when its turn
+// comes, in ascending node order, so a Popularity value sees the copies
+// earlier nodes already gave up.
 func evictTo(st *core.State, pending []batch.TaskID, keep float64, policy string, value func(int, batch.FileID) float64) {
 	minFree := st.MaxPendingTaskBytes(pending)
-	for n := 0; n < st.P.Platform.NumCompute(); n++ {
+	budget := make([]int64, st.P.Platform.NumCompute())
+	over := false
+	for n := range budget {
+		budget[n] = math.MaxInt64 // unlimited disks never evict
 		cap := st.P.Platform.Compute[n].DiskSpace
 		if cap <= 0 {
-			continue // unlimited
-		}
-		budget := int64(float64(cap) * keep)
-		if cap-budget < minFree {
-			budget = cap - minFree
-		}
-		if budget < 0 {
-			budget = 0
-		}
-		if st.Used(n) <= budget {
 			continue
 		}
-		var copies []copyRef
-		for f := 0; f < st.P.Batch.NumFiles(); f++ {
-			fid := batch.FileID(f)
-			if st.Holds(n, fid) {
-				copies = append(copies, copyRef{node: n, file: fid, value: value(n, fid)})
-			}
+		b := int64(float64(cap) * keep)
+		if cap-b < minFree {
+			b = cap - minFree
+		}
+		budget[n] = max(b, 0)
+		over = over || st.Used(n) > budget[n]
+	}
+	if !over {
+		return
+	}
+	// One pass over the actual copies collects each over-budget node's
+	// files in ascending order.
+	held := make([][]batch.FileID, len(budget))
+	st.EachCopy(func(n int, f batch.FileID) {
+		if st.Used(n) > budget[n] {
+			held[n] = append(held[n], f)
+		}
+	})
+	for n, files := range held {
+		if len(files) == 0 {
+			continue
+		}
+		copies := make([]copyRef, len(files))
+		for i, f := range files {
+			copies[i] = copyRef{node: n, file: f, value: value(n, f)}
 		}
 		sort.Slice(copies, func(i, j int) bool {
 			if copies[i].value != copies[j].value {
@@ -106,7 +120,7 @@ func evictTo(st *core.State, pending []batch.TaskID, keep float64, policy string
 			return copies[i].file < copies[j].file
 		})
 		for _, c := range copies {
-			if st.Used(n) <= budget {
+			if st.Used(n) <= budget[n] {
 				break
 			}
 			if st.J.Enabled() {
@@ -121,8 +135,8 @@ func evictTo(st *core.State, pending []batch.TaskID, keep float64, policy string
 
 // EvictAll clears every compute-node cache (used by ablation benches).
 func EvictAll(st *core.State) {
-	for n := 0; n < st.P.Platform.NumCompute(); n++ {
-		for f := 0; f < st.P.Batch.NumFiles(); f++ {
+	for f := 0; f < st.P.Batch.NumFiles(); f++ {
+		for _, n := range st.Holders(batch.FileID(f)) {
 			st.Evict(n, batch.FileID(f))
 		}
 	}

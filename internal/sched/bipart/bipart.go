@@ -168,7 +168,7 @@ func (s *Scheduler) selectSubBatch(st *core.State, pending []batch.TaskID) ([]ba
 	counted := make(map[[2]int]bool)
 	for n := 0; n < h.NumN; n++ {
 		f := files[n]
-		resident := len(st.Holders(f)) > 0
+		resident := st.NumCopies(f) > 0
 		if !resident {
 			continue
 		}

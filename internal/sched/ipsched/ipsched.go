@@ -233,7 +233,7 @@ func greedySelect(st *core.State, pending []batch.TaskID) []batch.TaskID {
 		for idx, t := range remaining {
 			var nb int64
 			for _, f := range b.Tasks[t].Files {
-				if !seen[f] && len(st.Holders(f)) == 0 {
+				if !seen[f] && st.NumCopies(f) == 0 {
 					nb += b.FileSize(f)
 				}
 			}

@@ -287,14 +287,11 @@ func (s *Scheduler) planIndexed(st *core.State, pending []batch.TaskID) (*core.S
 	for f := range firstHolder {
 		firstHolder[f] = -1
 	}
-	for i := C - 1; i >= 0; i-- {
-		row := holds[i]
-		for f := 0; f < F; f++ {
-			if row[f] {
-				firstHolder[f] = int32(i)
-			}
+	st.EachCopy(func(i int, f batch.FileID) {
+		if firstHolder[f] < 0 {
+			firstHolder[f] = int32(i) // i ascends within f
 		}
-	}
+	})
 	setHold := func(i int, f batch.FileID) {
 		holds[i][f] = true
 		if firstHolder[f] < 0 || int32(i) < firstHolder[f] {

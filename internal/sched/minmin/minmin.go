@@ -104,12 +104,10 @@ func newMMState(st *core.State) *mmState {
 	}
 	for i := 0; i < C; i++ {
 		m.free[i] = st.Free(i)
-		for f, h := range m.holds[i] {
-			if h {
-				m.holders[f] = append(m.holders[f], int32(i))
-			}
-		}
 	}
+	st.EachCopy(func(i int, f batch.FileID) {
+		m.holders[f] = append(m.holders[f], int32(i)) // i ascends within f
+	})
 	m.bwRemote = make([]float64, C)
 	classOf := make(map[[2]float64]int32)
 	for i := 0; i < C; i++ {
