@@ -57,6 +57,7 @@ race:
 # regressions without turning verify into a fuzzing campaign.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzPartitionKWay -fuzztime=5s ./internal/hypergraph/
+	$(GO) test -run='^$$' -fuzz=FuzzPartitionBINW -fuzztime=5s ./internal/hypergraph/
 	$(GO) test -run='^$$' -fuzz=FuzzTimelineReserve -fuzztime=5s ./internal/gantt/
 	$(GO) test -run='^$$' -fuzz=FuzzSlotMonotone -fuzztime=5s ./internal/gantt/
 	$(GO) test -run='^$$' -fuzz=FuzzFaultPlan -fuzztime=5s ./internal/core/

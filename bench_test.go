@@ -361,6 +361,35 @@ func BenchmarkKWayPartition(b *testing.B) {
 	}
 }
 
+// BenchmarkBiPartitionPlan measures one BiPartition PlanSubBatch —
+// a BINW sub-batch selection plus the K-way mapping of the chosen part
+// — on the sat-disk-bipart shape: SAT medium overlap, 100 tasks, 16
+// compute nodes, each with disk for 30% of the unique bytes / 16.
+func BenchmarkBiPartitionPlan(b *testing.B) {
+	bt, err := workload.Sat(workload.SatConfig{NumTasks: 100, Overlap: workload.MediumOverlap, NumStorage: 4, Seed: 17})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const nodes = 16
+	disk := bt.TotalUniqueBytes(nil) * 3 / 10 / nodes
+	for t := range bt.Tasks {
+		disk = max(disk, bt.TaskBytes(batch.TaskID(t)))
+	}
+	st, err := core.NewState(&core.Problem{Batch: bt, Platform: platform.XIO(nodes, 4, disk)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := bipart.New(3)
+	pending := bt.AllTasks()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.PlanSubBatch(st, pending); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFig3Workers measures the figure harness fan-out (quick
 // Figure 3 without IP, so cells are cheap and the fan-out dominates).
 func BenchmarkFig3Workers(b *testing.B) {
@@ -433,31 +462,6 @@ func BenchmarkMIPKnapsack(b *testing.B) {
 		sol, err := m.Solve(mip.Options{NodeLimit: 200000})
 		if err != nil || sol.Status == mip.NoSolution {
 			b.Fatalf("status %v err %v", sol.Status, err)
-		}
-	}
-}
-
-// BenchmarkHypergraphKWay measures the multilevel partitioner on a
-// 2000-vertex random hypergraph.
-func BenchmarkHypergraphKWay(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	hb := hypergraph.NewBuilder()
-	for i := 0; i < 2000; i++ {
-		hb.AddVertex(1 + int64(rng.Intn(10)))
-	}
-	for n := 0; n < 3000; n++ {
-		size := 2 + rng.Intn(6)
-		pins := rng.Perm(2000)[:size]
-		hb.AddNet(1+int64(rng.Intn(100)), pins)
-	}
-	h, err := hb.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := hypergraph.PartitionKWay(h, 16, 0.1, int64(i)); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package hypergraph
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 
@@ -61,6 +60,9 @@ func PartitionBINWOpt(h *Hypergraph, bound int64, opt BINWOptions) ([]int, int, 
 	if bound <= 0 {
 		return nil, 0, fmt.Errorf("hypergraph: BINW bound must be positive, got %d", bound)
 	}
+	if err := checkEps(opt.Eps); err != nil {
+		return nil, 0, err
+	}
 	part := make([]int, h.NumV)
 	if h.NumV == 0 {
 		return part, 0, nil
@@ -71,7 +73,7 @@ func PartitionBINWOpt(h *Hypergraph, bound int64, opt BINWOptions) ([]int, int, 
 	}
 	c := &binwCollector{}
 	pool := newWorkPool(opt.Workers)
-	recurseBINW(h, vid, bound, opt.Eps, opt.Seed, "", pool, c, obs.OrNop(opt.Trace))
+	recurseBINW(new(scratch), h, vid, bound, opt.Eps, opt.Seed, "", pool, c, obs.OrNop(opt.Trace))
 	sort.Slice(c.leaves, func(i, j int) bool { return c.leaves[i].path < c.leaves[j].path })
 	for id, leaf := range c.leaves {
 		for _, v := range leaf.vids {
@@ -106,13 +108,13 @@ func incidentTotal(h *Hypergraph) int64 {
 	return sum
 }
 
-func recurseBINW(h *Hypergraph, vid []int32, bound int64, eps float64, seed int64, path string, pool *workPool, c *binwCollector, tr obs.Tracer) {
+func recurseBINW(sc *scratch, h *Hypergraph, vid []int32, bound int64, eps float64, seed int64, path string, pool *workPool, c *binwCollector, tr obs.Tracer) {
 	if incidentTotal(h) <= bound || h.NumV == 1 {
 		c.add(path, vid)
 		return
 	}
-	rng := rand.New(rand.NewSource(splitSeed(seed, 2)))
-	side := multilevelBisect(h, balanceIncident, 0.5, eps, rng, false, tr)
+	sc.seed(splitSeed(seed, 2))
+	side := multilevelBisect(sc, h, balanceIncident, 0.5, eps, false, tr)
 	// Guard against a degenerate bisection leaving one side empty,
 	// which would recurse forever: peel off the heaviest vertex.
 	n0 := 0
@@ -128,10 +130,10 @@ func recurseBINW(h *Hypergraph, vid []int32, bound int64, eps float64, seed int6
 		}
 		side[heaviest] = 0
 	}
-	h0, vid0 := extractSide(h, vid, side, 0)
-	h1, vid1 := extractSide(h, vid, side, 1)
-	pool.fork(
-		func() { recurseBINW(h0, vid0, bound, eps, splitSeed(seed, 0), path+"0", pool, c, tr) },
-		func() { recurseBINW(h1, vid1, bound, eps, splitSeed(seed, 1), path+"1", pool, c, tr) },
+	h0, vid0 := extractSide(sc, h, vid, side, 0)
+	h1, vid1 := extractSide(sc, h, vid, side, 1)
+	pool.fork(sc,
+		func(sc *scratch) { recurseBINW(sc, h0, vid0, bound, eps, splitSeed(seed, 0), path+"0", pool, c, tr) },
+		func(sc *scratch) { recurseBINW(sc, h1, vid1, bound, eps, splitSeed(seed, 1), path+"1", pool, c, tr) },
 	)
 }

@@ -1,9 +1,6 @@
 package hypergraph
 
-import (
-	"math/rand"
-	"sort"
-)
+import "slices"
 
 // coarsenOnce performs one level of heavy-connectivity matching: each
 // unmatched vertex pairs with the unmatched neighbour it shares the
@@ -16,20 +13,18 @@ import (
 // summing weights.
 //
 // It returns the coarse hypergraph and the fine→coarse vertex map.
-func coarsenOnce(h *Hypergraph, rng *rand.Rand) (*Hypergraph, []int32) {
+func coarsenOnce(sc *scratch, h *Hypergraph) (*Hypergraph, []int32) {
 	match := make([]int32, h.NumV)
 	for i := range match {
 		match[i] = -1
 	}
-	strength := make(map[int32]float64)
-	order := h.shuffledVertices(rng)
-	for _, v := range order {
+	strength := &sc.set
+	strength.reset(h.NumV)
+	for _, v := range sc.shuffled(h.NumV) {
 		if match[v] >= 0 {
 			continue
 		}
-		for k := range strength {
-			delete(strength, k)
-		}
+		strength.clear()
 		for _, n := range h.VertexNets(int(v)) {
 			pins := h.NetPins(int(n))
 			if len(pins) < 2 {
@@ -38,15 +33,16 @@ func coarsenOnce(h *Hypergraph, rng *rand.Rand) (*Hypergraph, []int32) {
 			s := float64(h.NWeight[n]) / float64(len(pins)-1)
 			for _, u := range pins {
 				if u != v && match[u] < 0 {
-					strength[u] += s
+					strength.add(u, s)
 				}
 			}
 		}
+		// Ties go to the smaller vertex id, a total order, so the match
+		// does not depend on the candidates' listing order.
 		best := int32(-1)
 		bestS := 0.0
-		//schedlint:allow detrange argmax with total-order tie-break (u < best) is iteration-order independent
-		for u, s := range strength {
-			if s > bestS || (s == bestS && best >= 0 && u < best) {
+		for _, u := range strength.list {
+			if s := strength.score[u]; s > bestS || (s == bestS && best >= 0 && u < best) {
 				best, bestS = u, s
 			}
 		}
@@ -75,10 +71,6 @@ func coarsenOnce(h *Hypergraph, rng *rand.Rand) (*Hypergraph, []int32) {
 		nc++
 	}
 
-	cb := NewBuilder()
-	for c := 0; c < nc; c++ {
-		cb.AddVertex(0)
-	}
 	cw := make([]int64, nc)
 	cextra := make([]int64, nc)
 	for v := 0; v < h.NumV; v++ {
@@ -88,61 +80,48 @@ func coarsenOnce(h *Hypergraph, rng *rand.Rand) (*Hypergraph, []int32) {
 
 	// Re-pin nets, dropping size-1 nets into extra weight and merging
 	// duplicates.
-	type netKey string
-	merged := make(map[netKey]int)
-	var pinsBuf []int32
+	merged := make(map[string]int)
+	var nw []int64
+	xpins := []int32{0}
+	var pins, pinsBuf []int32
+	var key []byte
 	for n := 0; n < h.NumN; n++ {
 		pinsBuf = pinsBuf[:0]
 		for _, v := range h.NetPins(n) {
 			pinsBuf = append(pinsBuf, coarseOf[v])
 		}
-		sort.Slice(pinsBuf, func(i, j int) bool { return pinsBuf[i] < pinsBuf[j] })
-		uniq := pinsBuf[:0]
-		var last int32 = -1
-		for _, c := range pinsBuf {
-			if c != last {
-				uniq = append(uniq, c)
-				last = c
-			}
-		}
+		slices.Sort(pinsBuf)
+		uniq := slices.Compact(pinsBuf)
 		if len(uniq) <= 1 {
 			if len(uniq) == 1 {
 				cextra[uniq[0]] += h.NWeight[n]
 			}
 			continue
 		}
-		key := make([]byte, 0, len(uniq)*4)
+		key = key[:0]
 		for _, c := range uniq {
 			key = append(key, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
 		}
-		if idx, ok := merged[netKey(key)]; ok {
-			cb.nweights[idx] += h.NWeight[n]
+		if idx, ok := merged[string(key)]; ok {
+			nw[idx] += h.NWeight[n]
 			continue
 		}
-		ints := make([]int, len(uniq))
-		for i, c := range uniq {
-			ints[i] = int(c)
-		}
-		idx := cb.AddNet(h.NWeight[n], ints)
-		merged[netKey(key)] = idx
+		merged[string(key)] = len(nw)
+		nw = append(nw, h.NWeight[n])
+		pins = append(pins, uniq...)
+		xpins = append(xpins, int32(len(pins)))
 	}
-	copy(cb.vweights, cw)
-	copy(cb.extra, cextra)
-	ch, err := cb.Build()
-	if err != nil {
-		panic(err) // construction is internally consistent
-	}
-	return ch, coarseOf
+	return newCSR(cw, cextra, nw, xpins, pins), coarseOf
 }
 
 // coarsenTo repeatedly coarsens until the vertex count drops to at
 // most target or progress stalls. It returns the level stack (finest
 // first) and the fine→coarse maps between consecutive levels.
-func coarsenTo(h *Hypergraph, target int, rng *rand.Rand) (levels []*Hypergraph, maps [][]int32) {
+func coarsenTo(sc *scratch, h *Hypergraph, target int) (levels []*Hypergraph, maps [][]int32) {
 	levels = []*Hypergraph{h}
 	for levels[len(levels)-1].NumV > target {
 		cur := levels[len(levels)-1]
-		ch, m := coarsenOnce(cur, rng)
+		ch, m := coarsenOnce(sc, cur)
 		if ch.NumV >= cur.NumV || float64(ch.NumV) > 0.95*float64(cur.NumV) {
 			break
 		}

@@ -97,3 +97,105 @@ func FuzzPartitionKWay(f *testing.F) {
 		}
 	})
 }
+
+// buildFuzzBINW decodes a byte string into a small weighted hypergraph
+// and a BINW bound. The first three bytes pick the vertex count, the
+// bound (the incident total divided by 2–7) and the seed. Each
+// following net starts with a header byte giving its size (1–6 pins)
+// and weight (1–16); the next size bytes name its pins, and a pin
+// repeated within one net is dropped.
+func buildFuzzBINW(data []byte) (h *Hypergraph, bound int64, seed int64) {
+	if len(data) < 3 {
+		return nil, 0, 0
+	}
+	numV := 2 + int(data[0]%40)
+	div := 2 + int64(data[1]%6)
+	seed = int64(data[2])
+	b := NewBuilder()
+	for i := 0; i < numV; i++ {
+		b.AddVertex(1 + int64(i%5))
+	}
+	rest := data[3:]
+	for len(rest) > 0 {
+		hdr := rest[0]
+		size := 1 + int(hdr%6)
+		rest = rest[1:]
+		if size > len(rest) {
+			size = len(rest)
+		}
+		var pins []int
+		for _, p := range rest[:size] {
+			v := int(p) % numV
+			dup := false
+			for _, u := range pins {
+				dup = dup || u == v
+			}
+			if !dup {
+				pins = append(pins, v)
+			}
+		}
+		rest = rest[size:]
+		if len(pins) > 0 {
+			b.AddNet(1+int64(hdr/6%16), pins)
+		}
+	}
+	h, err := b.Build()
+	if err != nil {
+		panic("buildFuzzBINW produced invalid input: " + err.Error())
+	}
+	return h, max(incidentTotal(h)/div, 1), seed
+}
+
+// FuzzPartitionBINW checks the BINW partition's contract on arbitrary
+// small hypergraphs: labels are dense (every id in 0..np−1 used), each
+// part's incident net weight is within the bound unless the part is a
+// single vertex, and the result is the same on one worker and four.
+func FuzzPartitionBINW(f *testing.F) {
+	f.Add([]byte{10, 1, 3, 2, 0, 1, 2, 8, 2, 3, 4, 15, 5, 6, 7, 8, 9, 1})
+	f.Add([]byte{39, 5, 11, 5, 1, 2, 3, 4, 5, 17, 6, 7, 8, 9, 10, 11, 29, 12, 13, 14, 15, 16, 0, 20})
+	f.Add([]byte{2, 0, 0})             // 2 vertices, no nets
+	f.Add([]byte{30, 4, 9, 0, 1, 2})   // size-1 nets only
+	f.Add(bytes.Repeat([]byte{5}, 48)) // one vertex pinned by every net
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, bound, seed := buildFuzzBINW(data)
+		if h == nil {
+			t.Skip()
+		}
+		part, np, err := PartitionBINWOpt(h, bound, BINWOptions{Eps: 0.2, Seed: seed, Workers: 1})
+		if err != nil {
+			t.Fatalf("PartitionBINWOpt: %v", err)
+		}
+		if len(part) != h.NumV {
+			t.Fatalf("partition length %d != %d vertices", len(part), h.NumV)
+		}
+		size := make([]int, np)
+		for v, p := range part {
+			if p < 0 || p >= np {
+				t.Fatalf("vertex %d in invalid part %d (np=%d)", v, p, np)
+			}
+			size[p]++
+		}
+		for p, n := range size {
+			if n == 0 {
+				t.Fatalf("part %d of %d is empty: labels are not dense", p, np)
+			}
+		}
+		for p, w := range h.IncidentNetWeight(part, np) {
+			if w > bound && size[p] > 1 {
+				t.Fatalf("part %d (%d vertices) has incident weight %d > bound %d", p, size[p], w, bound)
+			}
+		}
+		par, npar, err := PartitionBINWOpt(h, bound, BINWOptions{Eps: 0.2, Seed: seed, Workers: 4})
+		if err != nil {
+			t.Fatalf("PartitionBINWOpt workers=4: %v", err)
+		}
+		if npar != np {
+			t.Fatalf("worker count changed the part count: %d vs %d", np, npar)
+		}
+		for v := range part {
+			if part[v] != par[v] {
+				t.Fatalf("worker count changed the partition at vertex %d: %d vs %d", v, part[v], par[v])
+			}
+		}
+	})
+}

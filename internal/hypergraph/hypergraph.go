@@ -17,7 +17,6 @@ package hypergraph
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 )
 
@@ -46,7 +45,6 @@ type Hypergraph struct {
 // Builder incrementally constructs a hypergraph.
 type Builder struct {
 	vweights []int64
-	extra    []int64
 	nweights []int64
 	nets     [][]int32
 }
@@ -57,7 +55,6 @@ func NewBuilder() *Builder { return &Builder{} }
 // AddVertex appends a vertex with the given weight, returning its ID.
 func (b *Builder) AddVertex(w int64) int {
 	b.vweights = append(b.vweights, w)
-	b.extra = append(b.extra, 0)
 	return len(b.vweights) - 1
 }
 
@@ -74,53 +71,76 @@ func (b *Builder) AddNet(w int64, pins []int) int {
 
 // Build finalizes the hypergraph.
 func (b *Builder) Build() (*Hypergraph, error) {
-	h := &Hypergraph{
-		NumV:         len(b.vweights),
-		NumN:         len(b.nets),
-		VWeight:      append([]int64(nil), b.vweights...),
-		ExtraVWeight: append([]int64(nil), b.extra...),
-		NWeight:      append([]int64(nil), b.nweights...),
-	}
-	h.XPins = make([]int32, h.NumN+1)
+	xpins := make([]int32, len(b.nets)+1)
 	for n, pins := range b.nets {
-		seen := make(map[int32]bool, len(pins))
-		for _, v := range pins {
-			if int(v) < 0 || int(v) >= h.NumV {
-				return nil, fmt.Errorf("hypergraph: net %d pins unknown vertex %d", n, v)
-			}
-			if seen[v] {
-				return nil, fmt.Errorf("hypergraph: net %d pins vertex %d twice", n, v)
-			}
-			seen[v] = true
-		}
-		h.XPins[n+1] = h.XPins[n] + int32(len(pins))
+		xpins[n+1] = xpins[n] + int32(len(pins))
 	}
-	h.Pins = make([]int32, 0, h.XPins[h.NumN])
-	for _, pins := range b.nets {
-		h.Pins = append(h.Pins, pins...)
+	pins := make([]int32, 0, xpins[len(b.nets)])
+	for _, p := range b.nets {
+		pins = append(pins, p...)
 	}
-	h.buildVNets()
-	return h, nil
+	return FromCSR(append([]int64(nil), b.vweights...), append([]int64(nil), b.nweights...), xpins, pins)
 }
 
-// buildVNets derives the vertex→nets CSR from the net→pins CSR.
-func (h *Hypergraph) buildVNets() {
-	deg := make([]int32, h.NumV+1)
-	for _, v := range h.Pins {
-		deg[v+1]++
+// FromCSR builds a hypergraph from its net→pins CSR arrays: net n has
+// weight nweight[n] and connects pins[xpins[n]:xpins[n+1]]. It takes
+// ownership of the slices and rejects offsets that do not describe
+// pins, unknown vertices and a vertex pinned twice by one net.
+func FromCSR(vweight, nweight []int64, xpins, pins []int32) (*Hypergraph, error) {
+	nv, nn := len(vweight), len(nweight)
+	if len(xpins) != nn+1 || xpins[0] != 0 || int(xpins[nn]) != len(pins) {
+		return nil, fmt.Errorf("hypergraph: %d net offsets do not describe %d nets over %d pins", len(xpins), nn, len(pins))
 	}
-	h.XVNets = make([]int32, h.NumV+1)
-	for v := 0; v < h.NumV; v++ {
-		h.XVNets[v+1] = h.XVNets[v] + deg[v+1]
-	}
-	h.VNets = make([]int32, len(h.Pins))
-	fill := append([]int32(nil), h.XVNets[:h.NumV]...)
-	for n := 0; n < h.NumN; n++ {
-		for _, v := range h.NetPins(n) {
-			h.VNets[fill[v]] = int32(n)
-			fill[v]++
+	// stamp[v] = n+1 once net n has pinned v.
+	stamp := make([]int32, nv)
+	for n := 0; n < nn; n++ {
+		if xpins[n+1] < xpins[n] || int(xpins[n+1]) > len(pins) {
+			return nil, fmt.Errorf("hypergraph: net %d has pin offsets %d..%d", n, xpins[n], xpins[n+1])
+		}
+		for _, v := range pins[xpins[n]:xpins[n+1]] {
+			if v < 0 || int(v) >= nv {
+				return nil, fmt.Errorf("hypergraph: net %d pins unknown vertex %d", n, v)
+			}
+			if stamp[v] == int32(n+1) {
+				return nil, fmt.Errorf("hypergraph: net %d pins vertex %d twice", n, v)
+			}
+			stamp[v] = int32(n + 1)
 		}
 	}
+	return newCSR(vweight, make([]int64, nv), nweight, xpins, pins), nil
+}
+
+// newCSR assembles a hypergraph from arrays the caller has already
+// made consistent, deriving the vertex→nets CSR.
+func newCSR(vweight, extra, nweight []int64, xpins, pins []int32) *Hypergraph {
+	h := &Hypergraph{NumV: len(vweight), NumN: len(nweight), VWeight: vweight,
+		ExtraVWeight: extra, NWeight: nweight, XPins: xpins, Pins: pins}
+	h.buildVNets()
+	return h
+}
+
+// buildVNets derives the vertex→nets CSR from the net→pins CSR. Each
+// vertex lists its nets in ascending order.
+func (h *Hypergraph) buildVNets() {
+	x := make([]int32, h.NumV+1)
+	for _, v := range h.Pins {
+		x[v+1]++
+	}
+	for v := 0; v < h.NumV; v++ {
+		x[v+1] += x[v]
+	}
+	// Fill with x[v] as v's cursor. Each cursor ends at the start of
+	// v+1's range, so shifting them up one slot restores the offsets.
+	h.VNets = make([]int32, len(h.Pins))
+	for n := 0; n < h.NumN; n++ {
+		for _, v := range h.NetPins(n) {
+			h.VNets[x[v]] = int32(n)
+			x[v]++
+		}
+	}
+	copy(x[1:], x[:h.NumV])
+	x[0] = 0
+	h.XVNets = x
 }
 
 // NetPins returns net n's vertices.
@@ -185,16 +205,6 @@ func (h *Hypergraph) IncidentNetWeight(part []int, numParts int) []int64 {
 		w[part[v]] += h.ExtraVWeight[v]
 	}
 	return w
-}
-
-// shuffledVertices returns 0..NumV−1 in random order.
-func (h *Hypergraph) shuffledVertices(rng *rand.Rand) []int32 {
-	order := make([]int32, h.NumV)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	return order
 }
 
 // sortedByWeightDesc returns vertex ids ordered by descending total

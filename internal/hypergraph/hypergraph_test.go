@@ -1,7 +1,9 @@
 package hypergraph
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -64,6 +66,44 @@ func TestBuilderValidation(t *testing.T) {
 	b2.AddNet(1, []int{0, 0})
 	if _, err := b2.Build(); err == nil {
 		t.Fatal("expected error for duplicate pin")
+	}
+}
+
+// TestFromCSR checks that FromCSR builds what Builder builds from the
+// same nets and rejects offsets that do not describe the pins, as well
+// as the pin errors Build reports.
+func TestFromCSR(t *testing.T) {
+	want := buildSample(t)
+	got, err := FromCSR(append([]int64(nil), want.VWeight...), append([]int64(nil), want.NWeight...),
+		append([]int32(nil), want.XPins...), append([]int32(nil), want.Pins...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("FromCSR = %+v, want %+v", got, want)
+	}
+	vw := []int64{1, 1, 1}
+	for _, tc := range []struct {
+		name  string
+		nw    []int64
+		xpins []int32
+		pins  []int32
+		ok    bool
+	}{
+		{"vertex shared by two nets", []int64{1, 1}, []int32{0, 2, 4}, []int32{0, 1, 0, 1}, true},
+		{"no nets", nil, []int32{0}, nil, true},
+		{"missing offsets", []int64{1}, []int32{0}, []int32{0, 1}, false},
+		{"first offset not zero", []int64{1}, []int32{1, 2}, []int32{0, 1}, false},
+		{"last offset short", []int64{1}, []int32{0, 1}, []int32{0, 1}, false},
+		{"decreasing offsets", []int64{1, 1, 1}, []int32{0, 1, 0, 1}, []int32{0}, false},
+		{"offset past pins", []int64{1, 1}, []int32{0, 5, 2}, []int32{0, 1}, false},
+		{"unknown vertex", []int64{1}, []int32{0, 2}, []int32{0, 3}, false},
+		{"negative vertex", []int64{1}, []int32{0, 2}, []int32{0, -1}, false},
+		{"vertex pinned twice", []int64{1}, []int32{0, 2}, []int32{2, 2}, false},
+	} {
+		if _, err := FromCSR(vw, tc.nw, tc.xpins, tc.pins); (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 
@@ -227,7 +267,7 @@ func TestBINWSinglePartWhenFits(t *testing.T) {
 func TestCoarseningPreservesTotals(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	h := randomHypergraph(rng, 120, 200)
-	ch, m := coarsenOnce(h, rng)
+	ch, m := coarsenOnce(&scratch{rng: rng}, h)
 	if ch.NumV >= h.NumV {
 		t.Fatalf("coarsening did not shrink: %d -> %d", h.NumV, ch.NumV)
 	}
@@ -295,5 +335,65 @@ func TestQuickPartitionValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPartitionRejectsBadEps checks that both entry points refuse a
+// balance tolerance that is NaN, infinite or negative: converting
+// target·(1+ε) to int64 is implementation-defined for those, which
+// used to return grossly unbalanced K-way parts and spurious BINW
+// parts instead of an error.
+func TestPartitionRejectsBadEps(t *testing.T) {
+	h := randomHypergraph(rand.New(rand.NewSource(9)), 120, 200)
+	bound := incidentTotal(h) / 3
+	for _, tc := range []struct {
+		name string
+		eps  float64
+		ok   bool
+	}{
+		{"NaN", math.NaN(), false},
+		{"+Inf", math.Inf(1), false},
+		{"-Inf", math.Inf(-1), false},
+		{"negative", -0.1, false},
+		{"zero", 0, true},
+		{"typical", 0.05, true},
+		{"huge", 1e300, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			part, err := PartitionKWayOpt(h, 4, KWayOptions{Eps: tc.eps, Seed: 1})
+			if (err == nil) != tc.ok {
+				t.Fatalf("K-way: err = %v, want ok=%v", err, tc.ok)
+			}
+			if tc.ok && len(part) != h.NumV {
+				t.Fatalf("K-way: %d labels for %d vertices", len(part), h.NumV)
+			}
+			part, np, err := PartitionBINWOpt(h, bound, BINWOptions{Eps: tc.eps, Seed: 1})
+			if (err == nil) != tc.ok {
+				t.Fatalf("BINW: err = %v, want ok=%v", err, tc.ok)
+			}
+			if tc.ok && (len(part) != h.NumV || np < 1) {
+				t.Fatalf("BINW: %d labels, %d parts", len(part), np)
+			}
+		})
+	}
+}
+
+// TestWeightCapSaturates checks the balance cap at the edge of int64:
+// a product beyond MaxInt64 saturates instead of wrapping.
+func TestWeightCapSaturates(t *testing.T) {
+	for _, tc := range []struct {
+		target int64
+		eps    float64
+		want   int64
+	}{
+		{100, 0.5, 150},
+		{0, 1e300, 0},
+		{1 << 62, 1, math.MaxInt64},
+		{1 << 62, 1e300, math.MaxInt64},
+		{math.MaxInt64, 0, math.MaxInt64},
+	} {
+		if got := weightCap(tc.target, tc.eps); got != tc.want {
+			t.Errorf("weightCap(%d, %g) = %d, want %d", tc.target, tc.eps, got, tc.want)
+		}
 	}
 }

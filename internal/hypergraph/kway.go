@@ -2,7 +2,6 @@ package hypergraph
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/obs"
 )
@@ -42,6 +41,9 @@ func PartitionKWayOpt(h *Hypergraph, k int, opt KWayOptions) ([]int, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("hypergraph: k must be positive, got %d", k)
 	}
+	if err := checkEps(opt.Eps); err != nil {
+		return nil, err
+	}
 	part := make([]int, h.NumV)
 	if k == 1 || h.NumV == 0 {
 		return part, nil
@@ -51,7 +53,7 @@ func PartitionKWayOpt(h *Hypergraph, k int, opt KWayOptions) ([]int, error) {
 		vid[i] = int32(i)
 	}
 	pool := newWorkPool(opt.Workers)
-	recurseKWay(h, vid, k, 0, opt.Eps, opt.Seed, pool, part, opt.NoRefine, obs.OrNop(opt.Trace))
+	recurseKWay(new(scratch), h, vid, k, 0, opt.Eps, opt.Seed, pool, part, opt.NoRefine, obs.OrNop(opt.Trace))
 	return part, nil
 }
 
@@ -59,8 +61,8 @@ func PartitionKWayOpt(h *Hypergraph, k int, opt KWayOptions) ([]int, error) {
 // into ⌈k/2⌉ and ⌊k/2⌋ shares and recurses, writing final part labels
 // starting at base into out. The two sub-recursions touch disjoint
 // vertex sets (hence disjoint out entries) and run concurrently when
-// the pool has a free worker.
-func recurseKWay(h *Hypergraph, vid []int32, k, base int, eps float64, seed int64, pool *workPool, out []int, noRefine bool, tr obs.Tracer) {
+// the pool has a free worker. sc is the calling goroutine's scratch.
+func recurseKWay(sc *scratch, h *Hypergraph, vid []int32, k, base int, eps float64, seed int64, pool *workPool, out []int, noRefine bool, tr obs.Tracer) {
 	if k == 1 {
 		for _, v := range vid {
 			out[v] = base
@@ -84,13 +86,17 @@ func recurseKWay(h *Hypergraph, vid []int32, k, base int, eps float64, seed int6
 	if k > 2 {
 		levelEps = eps / 1.5
 	}
-	rng := rand.New(rand.NewSource(splitSeed(seed, 2)))
-	side := multilevelBisect(h, balanceVertex, frac, levelEps, rng, noRefine, tr)
-	h0, vid0 := extractSide(h, vid, side, 0)
-	h1, vid1 := extractSide(h, vid, side, 1)
-	pool.fork(
-		func() { recurseKWay(h0, vid0, k0, base, eps, splitSeed(seed, 0), pool, out, noRefine, tr) },
-		func() { recurseKWay(h1, vid1, k1, base+k0, eps, splitSeed(seed, 1), pool, out, noRefine, tr) },
+	sc.seed(splitSeed(seed, 2))
+	side := multilevelBisect(sc, h, balanceVertex, frac, levelEps, noRefine, tr)
+	h0, vid0 := extractSide(sc, h, vid, side, 0)
+	h1, vid1 := extractSide(sc, h, vid, side, 1)
+	pool.fork(sc,
+		func(sc *scratch) {
+			recurseKWay(sc, h0, vid0, k0, base, eps, splitSeed(seed, 0), pool, out, noRefine, tr)
+		},
+		func(sc *scratch) {
+			recurseKWay(sc, h1, vid1, k1, base+k0, eps, splitSeed(seed, 1), pool, out, noRefine, tr)
+		},
 	)
 }
 
@@ -98,40 +104,61 @@ func recurseKWay(h *Hypergraph, vid []int32, k, base int, eps float64, seed int6
 // given side, splitting nets: each net keeps its weight on any side
 // where it has at least two pins; single-pin appearances are absorbed
 // into the vertex's ExtraVWeight (preserving the BINW incident-weight
-// accounting and the connectivity-1 total across the recursion).
-func extractSide(h *Hypergraph, vid []int32, side []int, want int) (*Hypergraph, []int32) {
-	newID := make([]int32, h.NumV)
-	for i := range newID {
-		newID[i] = -1
-	}
-	b := NewBuilder()
-	var subVid []int32
+// accounting and the connectivity-1 total across the recursion). Nets
+// and their pins keep h's order.
+func extractSide(sc *scratch, h *Hypergraph, vid []int32, side []int, want int) (*Hypergraph, []int32) {
+	newID := resize(sc.newID, h.NumV)
+	sc.newID = newID
+	nv := 0
 	for v := 0; v < h.NumV; v++ {
-		if side[v] != want {
-			continue
+		newID[v] = -1
+		if side[v] == want {
+			newID[v] = int32(nv)
+			nv++
 		}
-		id := b.AddVertex(h.VWeight[v])
-		b.extra[id] = h.ExtraVWeight[v]
-		newID[v] = int32(id)
-		subVid = append(subVid, vid[v])
 	}
+	vw := make([]int64, nv)
+	extra := make([]int64, nv)
+	subVid := make([]int32, nv)
+	for v, id := range newID {
+		if id >= 0 {
+			vw[id], extra[id], subVid[id] = h.VWeight[v], h.ExtraVWeight[v], vid[v]
+		}
+	}
+	// First pass: size the kept nets and absorb single-pin appearances.
+	nn, np := 0, 0
 	for n := 0; n < h.NumN; n++ {
-		var pins []int
+		c, last := 0, int32(-1)
 		for _, v := range h.NetPins(n) {
-			if newID[v] >= 0 {
-				pins = append(pins, int(newID[v]))
+			if id := newID[v]; id >= 0 {
+				c, last = c+1, id
 			}
 		}
 		switch {
-		case len(pins) >= 2:
-			b.AddNet(h.NWeight[n], pins)
-		case len(pins) == 1:
-			b.extra[pins[0]] += h.NWeight[n]
+		case c >= 2:
+			nn, np = nn+1, np+c
+		case c == 1:
+			extra[last] += h.NWeight[n]
 		}
 	}
-	sub, err := b.Build()
-	if err != nil {
-		panic(err)
+	// Second pass: copy the kept nets. A single-pin net is appended and
+	// then cut back, so one slot past np is all the slack pins needs.
+	nw := make([]int64, 0, nn)
+	xpins := make([]int32, 1, nn+1)
+	pins := make([]int32, 0, np+1)
+	for n := 0; n < h.NumN; n++ {
+		start := len(pins)
+		for _, v := range h.NetPins(n) {
+			if id := newID[v]; id >= 0 {
+				pins = append(pins, id)
+			}
+		}
+		if len(pins)-start < 2 {
+			pins = pins[:start]
+			continue
+		}
+		nw = append(nw, h.NWeight[n])
+		xpins = append(xpins, int32(len(pins)))
 	}
-	return sub, subVid
+	return newCSR(vw, extra, nw, xpins, pins), subVid
 }

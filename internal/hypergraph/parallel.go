@@ -35,21 +35,23 @@ func newWorkPool(workers int) *workPool {
 // goroutine when a worker token is free and inline otherwise. The
 // token is held for right's whole subtree, which keeps the live
 // goroutine count at the configured bound even though the recursion
-// forks again inside both callbacks.
-func (p *workPool) fork(left, right func()) {
+// forks again inside both callbacks. Each callback receives the
+// scratch of the goroutine it runs on: sc inline, a new one on a
+// forked goroutine.
+func (p *workPool) fork(sc *scratch, left, right func(*scratch)) {
 	select {
 	case p.sem <- struct{}{}:
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
 			defer func() { <-p.sem }()
-			right()
+			right(new(scratch))
 		}()
-		left()
+		left(sc)
 		<-done
 	default:
-		left()
-		right()
+		left(sc)
+		right(sc)
 	}
 }
 

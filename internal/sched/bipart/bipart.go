@@ -394,38 +394,48 @@ func (s *Scheduler) fallbackSingle(st *core.State, pending []batch.TaskID) map[b
 // buildHypergraph constructs the task/file hypergraph of the given
 // tasks. When weights is nil, vertex weights default to scaled compute
 // times. It returns the hypergraph, the vertex→task mapping (identical
-// to the input slice) and the net→file mapping.
+// to the input slice) and the net→file mapping. Nets are the files
+// the tasks read, in file-id order, each pinning its readers in task
+// order: a counting sort of the (file, task) pins by file id.
 func buildHypergraph(st *core.State, tasks []batch.TaskID, weights []int64) (*hypergraph.Hypergraph, []batch.TaskID, []batch.FileID) {
 	b := st.P.Batch
-	hb := hypergraph.NewBuilder()
-	index := make(map[batch.TaskID]int, len(tasks))
+	vw := make([]int64, len(tasks))
+	// at[f] counts f's readers, then becomes the cursor into f's net.
+	at := make([]int32, b.NumFiles())
+	nets := 0
 	for i, t := range tasks {
 		w := int64(b.Tasks[t].Compute * 1e6)
 		if weights != nil {
 			w = weights[i]
 		}
-		if w <= 0 {
-			w = 1
-		}
-		hb.AddVertex(w)
-		index[t] = i
-	}
-	// Nets: files accessed by ≥1 of these tasks.
-	netOf := make(map[batch.FileID][]int)
-	for _, t := range tasks {
+		vw[i] = max(w, 1)
 		for _, f := range b.Tasks[t].Files {
-			netOf[f] = append(netOf[f], index[t])
+			if at[f] == 0 {
+				nets++
+			}
+			at[f]++
 		}
 	}
-	var files []batch.FileID
-	for f := range netOf {
-		files = append(files, f)
+	files := make([]batch.FileID, 0, nets)
+	nw := make([]int64, 0, nets)
+	xpins := make([]int32, 1, nets+1)
+	for f, c := range at {
+		if c == 0 {
+			continue
+		}
+		files = append(files, batch.FileID(f))
+		nw = append(nw, b.FileSize(batch.FileID(f)))
+		at[f] = xpins[len(xpins)-1]
+		xpins = append(xpins, at[f]+c)
 	}
-	sort.Slice(files, func(a, z int) bool { return files[a] < files[z] })
-	for _, f := range files {
-		hb.AddNet(b.FileSize(f), netOf[f])
+	pins := make([]int32, xpins[len(xpins)-1])
+	for i, t := range tasks {
+		for _, f := range b.Tasks[t].Files {
+			pins[at[f]] = int32(i)
+			at[f]++
+		}
 	}
-	h, err := hb.Build()
+	h, err := hypergraph.FromCSR(vw, nw, xpins, pins)
 	if err != nil {
 		panic(err) // inputs are pre-validated
 	}
