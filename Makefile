@@ -78,11 +78,13 @@ chaos:
 # and double-requeue invariants, and journal byte-determinism with
 # speculation armed (the chaos matrix above sweeps the ±spec arms of
 # every scheduler; this adds the focused property tests plus one
-# speculated CLI run end to end).
+# speculated CLI run end to end, whose Gantt and Chrome trace are
+# projected from the journal's fault, burn and spec events).
 spec-chaos:
 	$(GO) test -race -run 'Spec|Straggler|Journal' ./internal/core/ ./internal/spec/ ./internal/faults/ ./internal/experiments/ -v
 	$(GO) run ./cmd/batchsched -app image -tasks 40 -sched minmin \
-		-faults harsh,mttf=100 -speculate single-fork:0.86
+		-faults harsh,mttf=100 -speculate single-fork:0.86 \
+		-obs-gantt -obs-trace spec_trace.json
 
 # Decision-journal determinism from the CLI down: the same seeded
 # figure at -workers 1 and -workers 8 must write byte-identical

@@ -11,7 +11,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/faults"
 	"repro/internal/gantt"
-	"repro/internal/obs"
 	"repro/internal/obs/journal"
 	"repro/internal/spec"
 )
@@ -109,7 +108,7 @@ func (s *ExecStats) Add(o *ExecStats) {
 // the disk cache, task completion is marked, and the state clock
 // advances by the sub-batch makespan.
 func Execute(st *State, plan *SubPlan) (*ExecStats, error) {
-	e, err := newExecutor(st, plan, false, obs.Nop, nil, 0, nil)
+	e, err := newExecutor(st, plan, false, nil, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -181,8 +180,6 @@ type executor struct {
 	// trace, when non-nil, accumulates the committed schedule for
 	// post-hoc validation.
 	trace *gantt.Schedule
-	// tr receives simulated-time spans for committed reservations.
-	tr obs.Tracer
 
 	// Fault injection (all nil/zero on the fault-free fast path).
 	inj   *faults.Injector
@@ -222,19 +219,18 @@ type executor struct {
 }
 
 // newExecutor prepares one sub-batch for the runtime stage. traced
-// records the committed schedule in e.trace for gantt validation, and
-// tr receives one simulated-time span per committed reservation. A
+// records the committed schedule in e.trace for gantt validation. A
 // non-nil inj injects transfer failures, crashes and stragglers (round,
 // the sub-batch ordinal, is part of every failure's hashed identity);
 // tasks a fault aborted are collected in e.requeued for the caller to
 // re-plan. pol forks speculative twins of straggling executions. Nil
 // inj and pol take the exact fault-free code paths.
-func newExecutor(st *State, plan *SubPlan, traced bool, tr obs.Tracer, inj *faults.Injector, round int, pol *spec.Policy) (*executor, error) {
+func newExecutor(st *State, plan *SubPlan, traced bool, inj *faults.Injector, round int, pol *spec.Policy) (*executor, error) {
 	if len(plan.Tasks) == 0 {
 		return nil, fmt.Errorf("core: empty sub-batch plan")
 	}
 	p := st.P
-	e := &executor{st: st, plan: plan, tr: obs.OrNop(tr), round: round, curTask: -1, pol: pol,
+	e := &executor{st: st, plan: plan, round: round, curTask: -1, pol: pol,
 		drainLeft: len(plan.Tasks), nodeTasks: make([]int, p.Platform.NumCompute())}
 	if inj != nil {
 		e.inj = inj
@@ -242,17 +238,6 @@ func newExecutor(st *State, plan *SubPlan, traced bool, tr obs.Tracer, inj *faul
 		e.crashSeen = make([]bool, p.Platform.NumCompute())
 		for n := range e.crashRel {
 			e.crashRel[n] = inj.CrashTime(n) - st.Clock
-		}
-	}
-	if e.tr.Enabled() {
-		for s := range p.Platform.Storage {
-			e.tr.NameTrack(obs.DomainSim, obs.StorageTrack(s), "storage "+strconv.Itoa(s))
-		}
-		for n := range p.Platform.Compute {
-			e.tr.NameTrack(obs.DomainSim, obs.ComputeTrack(n), "compute "+strconv.Itoa(n))
-		}
-		if p.Platform.SharedLinkBW > 0 {
-			e.tr.NameTrack(obs.DomainSim, obs.TrackLink, "wide-area link")
 		}
 	}
 	for range p.Platform.Storage {
@@ -993,16 +978,6 @@ func (v *schedEnv) commitRemote(f batch.FileID, home, dst int, start, dur float6
 	if v.e.trace != nil {
 		v.e.trace.Stages = append(v.e.trace.Stages, gantt.StageEvent{File: int(f), Node: dst, Avail: start + dur, Size: size})
 	}
-	if v.e.tr.Enabled() {
-		b := v.e.base()
-		name := "stage file " + strconv.Itoa(int(f))
-		args := []obs.Arg{obs.A("file", int(f)), obs.A("bytes", size), obs.A("dst", dst)}
-		v.e.tr.SimSpan(obs.StorageTrack(home), "remote", name, b+start, b+start+dur, args...)
-		v.e.tr.SimSpan(obs.ComputeTrack(dst), "remote", name, b+start, b+start+dur, args...)
-		if v.e.linkTL != nil {
-			v.e.tr.SimSpan(obs.TrackLink, "remote", name, b+start, b+start+dur, args...)
-		}
-	}
 	v.emitStage(f, -1, dst, "remote", start, dur, size)
 	v.setAvail(dst, f, start+dur)
 	return start + dur, nil
@@ -1021,13 +996,6 @@ func (v *schedEnv) commitReplica(f batch.FileID, src, dst int, start, dur float6
 	v.e.stats.ReplicaBytes += size
 	if v.e.trace != nil {
 		v.e.trace.Stages = append(v.e.trace.Stages, gantt.StageEvent{File: int(f), Node: dst, Avail: start + dur, Size: size})
-	}
-	if v.e.tr.Enabled() {
-		b := v.e.base()
-		name := "replicate file " + strconv.Itoa(int(f))
-		args := []obs.Arg{obs.A("file", int(f)), obs.A("bytes", size), obs.A("src", src), obs.A("dst", dst)}
-		v.e.tr.SimSpan(obs.ComputeTrack(src), "replica", name, b+start, b+start+dur, args...)
-		v.e.tr.SimSpan(obs.ComputeTrack(dst), "replica", name, b+start, b+start+dur, args...)
 	}
 	v.emitStage(f, src, dst, "replica", start, dur, size)
 	v.setAvail(dst, f, start+dur)
@@ -1179,12 +1147,6 @@ func (v *schedEnv) faultyTransfer(f batch.FileID, src, dst int, srcAt float64) (
 			}
 			v.reserve(e.computeTL[dst], start, failAt-start, tagFault)
 		}
-		if e.tr.Enabled() {
-			b := e.base()
-			e.tr.SimSpan(obs.ComputeTrack(dst), "fault", "failed stage file "+strconv.Itoa(int(f)),
-				b+start, b+failAt,
-				obs.A("file", int(f)), obs.A("attempt", attempt), obs.A("src", curSrc))
-		}
 		if j := e.st.J; j.Enabled() {
 			detail := "link failure mid-transfer"
 			switch crashedNode {
@@ -1201,7 +1163,7 @@ func (v *schedEnv) faultyTransfer(f batch.FileID, src, dst int, srcAt float64) (
 			}
 			j.Emit(journal.Event{T: e.base() + failAt, Kind: journal.KindFault, Round: e.round,
 				Fault: &journal.Fault{Class: journal.FaultTransferFail, Node: dst, Task: e.curTask,
-					File: int(f), Attempt: attempt, Detail: detail + " (from " + srcDesc + ")"}})
+					File: int(f), Attempt: attempt, Start: e.base() + start, Detail: detail + " (from " + srcDesc + ")"}})
 		}
 		if crashedNode >= 0 {
 			e.crashSeen[crashedNode] = true
@@ -1219,6 +1181,20 @@ func (v *schedEnv) faultyTransfer(f batch.FileID, src, dst int, srcAt float64) (
 
 // base returns the absolute sim time at the start of this sub-batch.
 func (e *executor) base() float64 { return e.st.Clock }
+
+// burnKilled is the burn detail of an execution a node crash killed.
+const burnKilled = "execution killed by node crash"
+
+// burn journals a killed or cancelled attempt's reservation
+// [start, stop) on node's port (sub-batch-relative times); file is the
+// cut-off transfer's file, -1 for an execution.
+func (e *executor) burn(node, task, file int, start, stop float64, detail string) {
+	if j := e.st.J; j.Enabled() {
+		b := e.base()
+		j.Emit(journal.Event{T: b + stop, Kind: journal.KindFault, Round: e.round,
+			Fault: &journal.Fault{Class: journal.FaultBurn, Node: node, Task: task, File: file, Start: b + start, Detail: detail}})
+	}
+}
 
 // scheduleTask stages task t's missing files (greedy min-TCT order,
 // per §6) and then places its execution; it returns the task's
@@ -1287,11 +1263,7 @@ func (e *executor) scheduleTask(t batch.TaskID, commit bool) (float64, error) {
 			if start < crashAt {
 				e.computeTL[c].Reserve(start, crashAt-start, tagFault)
 				e.stats.WastedSeconds += crashAt - start
-				if e.tr.Enabled() {
-					b := e.base()
-					e.tr.SimSpan(obs.ComputeTrack(c), "fault", "killed task "+strconv.Itoa(int(t)),
-						b+start, b+crashAt, obs.A("task", int(t)), obs.A("node", c))
-				}
+				e.burn(c, int(t), -1, start, crashAt, burnKilled)
 			}
 			e.crashSeen[c] = true
 			return 0, &faultAbort{node: c, at: crashAt, crash: true,
@@ -1306,7 +1278,7 @@ func (e *executor) scheduleTask(t batch.TaskID, commit bool) (float64, error) {
 
 // commitExec books task t's execution [start, start+dur) on node c
 // and records every side effect of a completed task: Done marking,
-// file touches, trace/journal emissions.
+// file touches, validator and journal records.
 func (e *executor) commitExec(t batch.TaskID, c int, task *batch.Task, start, dur float64) {
 	e.computeTL[c].Reserve(start, dur, tagExec)
 	e.st.Done[t] = true
@@ -1320,12 +1292,6 @@ func (e *executor) commitExec(t batch.TaskID, c int, task *batch.Task, start, du
 			inputs[i] = int(f)
 		}
 		e.trace.Tasks = append(e.trace.Tasks, gantt.TaskEvent{Task: int(t), Node: c, Start: start, End: start + dur, Inputs: inputs})
-	}
-	if e.tr.Enabled() {
-		b := e.base()
-		e.tr.SimSpan(obs.ComputeTrack(c), "exec", "task "+strconv.Itoa(int(t)),
-			b+start, b+start+dur,
-			obs.A("task", int(t)), obs.A("node", c), obs.A("inputs", len(task.Files)))
 	}
 	if j := e.st.J; j.Enabled() {
 		b := e.base()
@@ -1480,11 +1446,7 @@ func (e *executor) commitTwinOps(bp twinPlan, stopT float64) (waste float64, sta
 		}
 		e.st.Unstage(op.dst, op.file)
 		waste += cut
-		if e.tr.Enabled() {
-			b := e.base()
-			e.tr.SimSpan(obs.ComputeTrack(op.dst), "fault", "cancelled spec stage file "+strconv.Itoa(int(op.file)),
-				b+op.start, b+stopT, obs.A("file", int(op.file)), obs.A("dst", op.dst))
-		}
+		e.burn(op.dst, e.curTask, int(op.file), op.start, stopT, "twin's transfer cut off when the twin stopped")
 	}
 	return waste, started, nil
 }
@@ -1600,10 +1562,6 @@ func (e *executor) trySpeculate(v *schedEnv, t batch.TaskID, c int, task *batch.
 			Reason: fmt.Sprintf("task %d still running on node %d %.4gs after start (threshold %.4gs, policy %s): forked twin on node %d",
 				t, c, execDur, thr, e.pol, best)}})
 	}
-	if e.tr.Enabled() {
-		e.tr.SimInstant(obs.ComputeTrack(c), "spec", "fork twin of task "+strconv.Itoa(int(t)), b+forkT,
-			obs.A("task", int(t)), obs.A("twin", best))
-	}
 
 	if twinAlive && (!primAlive || twinEnd < primEnd) {
 		// Twin wins: cancel the primary at the twin's finish (or at
@@ -1617,10 +1575,11 @@ func (e *executor) trySpeculate(v *schedEnv, t batch.TaskID, c int, task *batch.
 		if primStop > start {
 			e.computeTL[c].Reserve(start, primStop-start, tagFault)
 			e.stats.SpecWastedSeconds += primStop - start
-			if e.tr.Enabled() {
-				e.tr.SimSpan(obs.ComputeTrack(c), "fault", "cancelled task "+strconv.Itoa(int(t)),
-					b+start, b+primStop, obs.A("task", int(t)), obs.A("node", c))
+			detail := "primary cancelled: twin finished first"
+			if crashKilled {
+				detail = burnKilled
 			}
+			e.burn(c, int(t), -1, start, primStop, detail)
 		}
 		if crashKilled {
 			e.crashSeen[c] = true
@@ -1675,10 +1634,11 @@ func (e *executor) trySpeculate(v *schedEnv, t batch.TaskID, c int, task *batch.
 			e.computeTL[best].Reserve(bp.execStart, twinStop-bp.execStart, tagFault)
 			waste += twinStop - bp.execStart
 			startedAny = true
-			if e.tr.Enabled() {
-				e.tr.SimSpan(obs.ComputeTrack(best), "fault", "cancelled twin of task "+strconv.Itoa(int(t)),
-					b+bp.execStart, b+twinStop, obs.A("task", int(t)), obs.A("node", best))
+			detail := "twin cancelled: primary finished first"
+			if twinCrashed {
+				detail = "twin " + burnKilled
 			}
+			e.burn(best, int(t), -1, bp.execStart, twinStop, detail)
 		}
 		e.stats.SpecWastedSeconds += waste
 		if twinCrashed && startedAny {
@@ -1711,10 +1671,7 @@ func (e *executor) trySpeculate(v *schedEnv, t batch.TaskID, c int, task *batch.
 	if crashAt > start {
 		e.computeTL[c].Reserve(start, crashAt-start, tagFault)
 		e.stats.WastedSeconds += crashAt - start
-		if e.tr.Enabled() {
-			e.tr.SimSpan(obs.ComputeTrack(c), "fault", "killed task "+strconv.Itoa(int(t)),
-				b+start, b+crashAt, obs.A("task", int(t)), obs.A("node", c))
-		}
+		e.burn(c, int(t), -1, start, crashAt, burnKilled)
 	}
 	e.crashSeen[c] = true
 	twinStop := e.crashRel[best]
@@ -1728,6 +1685,7 @@ func (e *executor) trySpeculate(v *schedEnv, t batch.TaskID, c int, task *batch.
 		e.computeTL[best].Reserve(bp.execStart, twinStop-bp.execStart, tagFault)
 		waste += twinStop - bp.execStart
 		startedAny = true
+		e.burn(best, int(t), -1, bp.execStart, twinStop, "twin "+burnKilled)
 	}
 	e.stats.SpecWastedSeconds += waste
 	if startedAny {
@@ -1863,11 +1821,6 @@ func (e *executor) run() (*ExecStats, error) {
 				e.requeued = append(e.requeued, top.task)
 				e.stats.RequeuedTasks++
 				nodeVer[node]++
-				if e.tr.Enabled() {
-					e.tr.SimInstant(obs.ComputeTrack(node), "fault",
-						"requeue task "+strconv.Itoa(int(top.task)), e.base()+fa.at,
-						obs.A("task", int(top.task)), obs.A("reason", fa.reason))
-				}
 				if j := e.st.J; j.Enabled() {
 					j.Emit(journal.Event{T: e.base() + fa.at, Kind: journal.KindFault, Round: e.round,
 						Fault: &journal.Fault{Class: journal.FaultRequeue, Node: fa.node,
@@ -1897,11 +1850,6 @@ func (e *executor) run() (*ExecStats, error) {
 				dropped := e.st.DropNode(n)
 				e.inj.ConsumeCrash(n)
 				e.stats.Crashes++
-				if e.tr.Enabled() {
-					e.tr.SimInstant(obs.ComputeTrack(n), "fault",
-						"node "+strconv.Itoa(n)+" crash", math.Min(abs, e.base()+e.stats.Makespan),
-						obs.A("node", n))
-				}
 				if j := e.st.J; j.Enabled() {
 					j.Emit(journal.Event{T: math.Min(abs, e.base()+e.stats.Makespan),
 						Kind: journal.KindFault, Round: e.round,

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/gantt"
-	"repro/internal/obs"
 	"repro/internal/platform"
 )
 
@@ -246,7 +245,7 @@ func TestStageInputsUnsortedMidPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := newExecutor(st, &SubPlan{Tasks: []batch.TaskID{task}, Node: map[batch.TaskID]int{task: 0}}, false, obs.Nop, nil, 0, nil)
+	e, err := newExecutor(st, &SubPlan{Tasks: []batch.TaskID{task}, Node: map[batch.TaskID]int{task: 0}}, false, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

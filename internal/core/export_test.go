@@ -6,7 +6,6 @@ import (
 	"reflect"
 
 	"repro/internal/batch"
-	"repro/internal/obs"
 	"repro/internal/obs/journal"
 )
 
@@ -79,7 +78,7 @@ type Booking struct {
 // ExecuteBooked is Execute with the given intervals reserved (as
 // faults) on the sub-batch's fresh timelines first.
 func ExecuteBooked(st *State, plan *SubPlan, bookings []Booking) (*ExecStats, error) {
-	e, err := newExecutor(st, plan, false, obs.Nop, nil, 0, nil)
+	e, err := newExecutor(st, plan, false, nil, 0, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/batch"
@@ -68,7 +67,10 @@ func (r *Result) SchedulingMSPerTask() float64 {
 // (pinned by TestObservedRunsMatchUnobserved).
 type Observer struct {
 	// Trace receives spans and instant events from every pipeline
-	// phase; nil means no tracing.
+	// phase; nil means no tracing. Its simulated-time tracks are
+	// projected from the run's journal by TraceJournal (from a private
+	// recorder when Journal is nil), so a Journal given alongside a
+	// Trace must not be shared with concurrent runs.
 	Trace obs.Tracer
 	// Metrics receives counters/gauges/histograms; nil means none.
 	Metrics *obs.Metrics
@@ -134,10 +136,7 @@ func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 	inj := faults.NewInjector(opt.Faults, st.P.Platform.NumCompute())
 	ob := opt.Obs
 	tr := obs.OrNop(ob.Trace)
-	if tr.Enabled() {
-		tr.NameTrack(obs.DomainReal, obs.TrackSched, "scheduler ("+s.Name()+")")
-		tr.NameTrack(obs.DomainSim, obs.TrackBatch, "sub-batches")
-	}
+	tr.NameTrack(obs.DomainReal, obs.TrackSched, "scheduler ("+s.Name()+")")
 	// Dedupe the pending list and skip already-completed task IDs. The
 	// cleaned list preserves first-occurrence order, so a clean input
 	// behaves exactly as before.
@@ -155,9 +154,25 @@ func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 	// Thread the journal through the state so schedulers and eviction
 	// policies can record rationale. Assigned unconditionally: a
 	// journal-free run on a reused state must not write into a stale
-	// recorder.
+	// recorder. A traced run without a journal records into a private
+	// one: the simulated-time trace is projected from it.
 	j := ob.Journal
+	if j == nil && tr.Enabled() {
+		j = journal.New()
+	}
 	st.J = j
+	// projected indexes the event the next projection starts from. Each
+	// projection ends on a plan or run_end event, which closes the
+	// previous sub-batch; a plan event opens the next one, so the next
+	// projection starts from it again.
+	projected := j.Len()
+	project := func() {
+		if tr.Enabled() {
+			evs := j.Since(projected)
+			TraceJournal(tr, st.P.Platform, evs)
+			projected += len(evs) - 1
+		}
+	}
 	st.JRound = res.SubBatches
 	j.Emit(journal.Event{T: st.Clock, Kind: journal.KindRunStart,
 		Run: &journal.Run{Sched: s.Name(), Tasks: len(pending)}})
@@ -198,10 +213,10 @@ func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 		j.Emit(journal.Event{T: st.Clock, Kind: journal.KindPlan, Round: res.SubBatches,
 			Plan: &journal.Plan{Sched: s.Name(), Pending: len(pending), Planned: len(plan.Tasks),
 				Pinned: plan.Pinned, PreStages: len(plan.PreStage)}})
-		clockBefore := st.Clock
+		project()
 		endExec := tr.Span(obs.TrackSched, "phase", "execute",
 			obs.A("tasks", len(plan.Tasks)))
-		e, err := newExecutor(st, plan, opt.Checked, tr, inj, res.SubBatches, opt.Spec)
+		e, err := newExecutor(st, plan, opt.Checked, inj, res.SubBatches, opt.Spec)
 		var stats *ExecStats
 		if err == nil {
 			stats, err = e.run()
@@ -212,14 +227,6 @@ func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 		endExec()
 		if err != nil {
 			return nil, fmt.Errorf("core: executing %s sub-batch %d: %w", s.Name(), res.SubBatches, err)
-		}
-		if tr.Enabled() {
-			tr.SimSpan(obs.TrackBatch, "batch", "sub-batch "+strconv.Itoa(res.SubBatches),
-				clockBefore, st.Clock,
-				obs.A("tasks", len(plan.Tasks)),
-				obs.A("makespan_s", stats.Makespan),
-				obs.A("remote_transfers", stats.RemoteTransfers),
-				obs.A("replica_transfers", stats.ReplicaTransfers))
 		}
 		res.SubBatches++
 		res.ExecStats.Add(stats)
@@ -239,10 +246,6 @@ func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 				delete(pendingSet, t)
 				res.DegradedTasks++
 				res.Status = StatusDegraded
-				if tr.Enabled() {
-					tr.SimInstant(obs.TrackBatch, "fault",
-						"abandon task "+strconv.Itoa(int(t)), st.Clock, obs.A("task", int(t)))
-				}
 				j.Emit(journal.Event{T: st.Clock, Kind: journal.KindFault, Round: res.SubBatches - 1,
 					Fault: &journal.Fault{Class: journal.FaultAbandon, Node: -1, Task: int(t), File: -1,
 						Attempt: attempts[t], Detail: "re-queue budget exhausted; task abandoned as degraded"}})
@@ -298,5 +301,6 @@ func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 	j.Emit(journal.Event{T: st.Clock, Kind: journal.KindRunEnd, Round: res.SubBatches,
 		Run: &journal.Run{Sched: s.Name(), Tasks: res.TaskCount, Status: string(res.Status),
 			Makespan: res.Makespan, SubBatches: res.SubBatches}})
+	project()
 	return res, nil
 }

@@ -10,12 +10,11 @@ import (
 // ganttGlyphs maps event categories to the fill character used in the
 // ASCII Gantt; unknown categories render as '*'.
 var ganttGlyphs = map[string]byte{
-	"exec":     '#', // task execution
-	"remote":   '=', // remote (wide-area) transfer
-	"replica":  '~', // intra-cluster replica transfer
-	"prestage": '+', // pre-staged transfer
-	"fault":    'x', // preempted/burned reservation (failed transfer, killed task)
-	"batch":    'B',
+	"exec":    '#', // task execution
+	"remote":  '=', // remote (wide-area) transfer
+	"replica": '~', // intra-cluster replica transfer
+	"fault":   'x', // preempted/burned reservation (failed transfer, killed task)
+	"batch":   'B',
 }
 
 // WriteASCIIGantt renders the simulated-time (DomainSim) events as one
@@ -100,7 +99,7 @@ func (t *Trace) WriteASCIIGantt(w io.Writer, width int) error {
 	if pad < 0 {
 		pad = 0
 	}
-	_, err := fmt.Fprintf(w, "%-*s  0s%s%s  (# exec, = remote, ~ replica, + prestage, x fault)\n",
+	_, err := fmt.Fprintf(w, "%-*s  0s%s%s  (# exec, = remote, ~ replica, x fault)\n",
 		labelW, "", strings.Repeat(" ", pad), endLabel)
 	return err
 }

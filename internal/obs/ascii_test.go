@@ -85,7 +85,7 @@ func TestGanttSingleTask(t *testing.T) {
 }
 
 // TestGanttFaultReservations mirrors the simulator's fault-path
-// emissions (internal/core/exec.go): a partially completed transfer
+// emissions (core.TraceJournal): a partially completed transfer
 // preempted by a link failure and an exec reservation burned by a
 // node crash both carry cat "fault" and must render with their own
 // glyph, distinct from healthy work.

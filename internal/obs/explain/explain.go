@@ -351,7 +351,7 @@ func (p *Placement) Text() string {
 		fmt.Fprintf(&b, "  executed on node %d [%.3f, %.3f)\n", ex.Node, ex.Start, ex.End)
 	}
 	for _, ev := range p.Faults {
-		fmt.Fprintf(&b, "  fault at t=%.3f: %s\n", ev.T, faultDesc(ev.Fault))
+		fmt.Fprintf(&b, "  fault at t=%.3f: %s\n", ev.T, faultDesc(ev.Fault, ev.T))
 	}
 	for _, ev := range p.Specs {
 		sp := ev.Spec
@@ -435,7 +435,7 @@ func (h *FileHistory) Text() string {
 			fmt.Fprintf(&b, "  t=%.3f evicted from node %d by %s (score %.4g, %d bytes)\n",
 				ev.T, e.Node, e.Policy, e.Score, e.Bytes)
 		case ev.Fault != nil:
-			fmt.Fprintf(&b, "  t=%.3f fault: %s\n", ev.T, faultDesc(ev.Fault))
+			fmt.Fprintf(&b, "  t=%.3f fault: %s\n", ev.T, faultDesc(ev.Fault, ev.T))
 		}
 	}
 	return b.String()
@@ -482,7 +482,9 @@ func causeSuffix(st *journal.Stage) string {
 	return ""
 }
 
-func faultDesc(f *journal.Fault) string {
+// faultDesc renders a fault event that happened at sim time t; burned
+// port time shows as its window [Start, t).
+func faultDesc(f *journal.Fault, t float64) string {
 	var parts []string
 	parts = append(parts, f.Class)
 	if f.Node >= 0 {
@@ -499,6 +501,9 @@ func faultDesc(f *journal.Fault) string {
 	}
 	if f.Factor > 0 {
 		parts = append(parts, fmt.Sprintf("factor %.2f", f.Factor))
+	}
+	if f.Class == journal.FaultBurn || f.Class == journal.FaultTransferFail {
+		parts = append(parts, fmt.Sprintf("burned [%.3f, %.3f)", f.Start, t))
 	}
 	s := strings.Join(parts, ", ")
 	if f.Detail != "" {

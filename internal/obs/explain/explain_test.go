@@ -1,9 +1,12 @@
 package explain_test
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs/explain"
@@ -11,6 +14,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/sched/jdp"
 	"repro/internal/sched/minmin"
+	"repro/internal/spec"
 	"repro/internal/workload"
 )
 
@@ -169,5 +173,49 @@ func TestCriticalPath(t *testing.T) {
 	}
 	if txt := cp.Text(); txt == "" {
 		t.Error("empty text rendering")
+	}
+}
+
+// TestPlacementListsBurnWindows checks that -task lists the port time a
+// task's killed attempts burned: in a speculated run whose primary and
+// twin both crash (two compute-heavy nodes, crashy fault plan seed 7),
+// the task's record shows a burn window on each attempt's node.
+func TestPlacementListsBurnWindows(t *testing.T) {
+	b := batch.New()
+	var files []batch.FileID
+	for i := 0; i < 4; i++ {
+		files = append(files, b.AddFile(fmt.Sprintf("f%d", i), 64<<20, i%2))
+	}
+	for i := 0; i < 8; i++ {
+		b.AddTask(fmt.Sprintf("t%d", i), 10, []batch.FileID{files[i%4]})
+	}
+	p := &core.Problem{Batch: b, Platform: platform.XIO(2, 2, 0)}
+	fp, err := faults.Parse("mttf=30,stragp=0.15,stragf=4,budget=8,seed=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := journal.New()
+	if _, err := core.RunWith(p, minmin.New(), core.RunOptions{Faults: fp,
+		Spec: &spec.Policy{Kind: spec.SingleFork, Quantile: 0.86}, Obs: core.Observer{Journal: rec}}); err != nil {
+		t.Fatal(err)
+	}
+	j := explain.FromEvents(rec.Events())
+	found := false
+	for _, ev := range rec.Events() {
+		if ev.Kind != journal.KindSpecCancel || ev.Spec.Winner != "none" {
+			continue
+		}
+		found = true
+		sp := ev.Spec
+		txt := j.Placement(sp.Task).Text()
+		for _, node := range []int{sp.Node, sp.Twin} {
+			want := fmt.Sprintf("burn, node %d, task %d, burned [", node, sp.Task)
+			if !strings.Contains(txt, want) {
+				t.Errorf("task %d: record lacks %q:\n%s", sp.Task, want, txt)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("seed 7 produced no task whose primary and twin both died")
 	}
 }

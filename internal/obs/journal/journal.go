@@ -171,10 +171,13 @@ const (
 	FaultStraggler    = "straggler"     // an execution was stretched
 	FaultRequeue      = "requeue"       // a task was interrupted and re-queued
 	FaultAbandon      = "abandon"       // a task's retry budget ran out
+	FaultBurn         = "burn"          // a killed or cancelled attempt's reservation [Start, T) on Node
 )
 
 // Fault records failure/recovery activity. Task and File are -1 when
-// not applicable.
+// not applicable. Classes that burned port time (transfer_fail, burn)
+// carry the burned window as [Start, T) on Node's port, Start in
+// absolute simulated seconds.
 type Fault struct {
 	Class   string  `json:"class"`
 	Node    int     `json:"node"`
@@ -182,6 +185,7 @@ type Fault struct {
 	File    int     `json:"file"`
 	Attempt int     `json:"attempt,omitempty"`
 	Factor  float64 `json:"factor,omitempty"`
+	Start   float64 `json:"start,omitempty"`
 	Detail  string  `json:"detail,omitempty"`
 }
 
@@ -296,15 +300,16 @@ func (r *Recorder) Len() int {
 }
 
 // Events returns a copy of the recorded events in sequence order.
-func (r *Recorder) Events() []Event {
+func (r *Recorder) Events() []Event { return r.Since(0) }
+
+// Since returns a copy of the events from sequence number i on.
+func (r *Recorder) Since(i int) []Event {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	return out
+	return append([]Event(nil), r.events[min(i, len(r.events)):]...)
 }
 
 // Merge appends all of o's events to r in o's recorded order,

@@ -10,12 +10,13 @@
 // in this package feeds information back into placement decisions, so
 // an instrumented run produces the same schedule as an uninstrumented
 // one (pinned by TestObservedRunsMatchUnobserved). Two clock domains
-// are kept apart: DomainSim events carry simulated timestamps supplied
-// by the caller and are a pure function of the schedule, while
-// DomainReal spans read the wall clock — but only inside this package,
-// which is the one place in the repository (outside the annotated
-// overhead-metric sites) where schedlint's tracepurity check permits
-// it. Exports sort events into a canonical order, so a simulated-time
+// are kept apart: DomainSim events are a projection of the decision
+// journal (core.TraceJournal draws them from journal events, whose
+// timestamps are simulated) and are a pure function of the schedule,
+// while DomainReal spans read the wall clock — but only inside this
+// package, which is the one place in the repository (outside the
+// annotated overhead-metric sites) where schedlint's tracepurity check
+// permits it. Exports sort events into a canonical order, so a simulated-time
 // trace for a fixed seed is byte-identical at any worker count.
 package obs
 
@@ -61,9 +62,11 @@ type Tracer interface {
 	// Instant records a zero-duration wall-clock event on track tid.
 	Instant(tid int, cat, name string, args ...Arg)
 	// SimSpan records a completed simulated-time interval
-	// [start, end), in simulated seconds, on track tid.
+	// [start, end), in simulated seconds, on track tid. The pipeline's
+	// only producer is core.TraceJournal, which projects the journal.
 	SimSpan(tid int, cat, name string, start, end float64, args ...Arg)
-	// SimInstant marks a point in simulated time on track tid.
+	// SimInstant marks a point in simulated time on track tid; like
+	// SimSpan, only core.TraceJournal calls it in the pipeline.
 	SimInstant(tid int, cat, name string, ts float64, args ...Arg)
 	// NameTrack labels track tid of domain d in exported traces.
 	// Renaming an already-named track is a no-op.

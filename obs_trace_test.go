@@ -6,11 +6,13 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/obs/journal"
 	"repro/internal/platform"
 	"repro/internal/sched/bipart"
 	"repro/internal/sched/ipsched"
@@ -105,6 +107,61 @@ func TestTraceGolden(t *testing.T) {
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
 			t.Errorf("%s: trace differs from %s (regenerate with -update if the change is intended)", s.name, golden)
+		}
+	}
+}
+
+// simEvents returns the simulated-time process's (pid 2) events of a
+// Chrome trace export.
+func simEvents(t *testing.T, b []byte) []map[string]any {
+	t.Helper()
+	var tr struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &tr); err != nil {
+		t.Fatal(err)
+	}
+	var out []map[string]any
+	for _, ev := range tr.TraceEvents {
+		if ev["pid"] == float64(obs.DomainSim) {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// TestTraceFromJournalFile pins that a run's JSONL journal alone is
+// enough to rebuild its simulated-time trace: the journal goes through
+// WriteJSONL and ReadJSONL, and TraceJournal over the parsed events
+// must reproduce the golden trace's sim-process events.
+func TestTraceFromJournalFile(t *testing.T) {
+	for _, s := range traceSchedulers(nil) {
+		rec := journal.New()
+		p := traceProblem(t)
+		if _, err := core.RunWith(p, s.sched, core.RunOptions{Obs: core.Observer{Journal: rec}}); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		var jsonl bytes.Buffer
+		if err := rec.WriteJSONL(&jsonl); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := journal.ReadJSONL(&jsonl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewSimOnly()
+		core.TraceJournal(tr, p.Platform, evs)
+		var got bytes.Buffer
+		if err := tr.WriteChrome(&got); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", "traces", s.name+".trace.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := simEvents(t, got.Bytes()), simEvents(t, want); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: trace rebuilt from the JSONL journal differs from the golden sim events (%d vs %d events)",
+				s.name, len(g), len(w))
 		}
 	}
 }
