@@ -115,15 +115,6 @@ func Execute(st *State, plan *SubPlan) (*ExecStats, error) {
 	return e.run()
 }
 
-// transfer tags recorded in Gantt intervals, for debugging and tests.
-// tagFault marks a preempted (partial) reservation: the port time a
-// transfer or execution burnt before an injected failure killed it.
-const (
-	tagTransfer int32 = 1
-	tagExec     int32 = 2
-	tagFault    int32 = 3
-)
-
 // faultAbort signals that injected faults prevented one task commit
 // (node crash or exhausted transfer retries). The run loop re-queues
 // the task instead of failing the run.
@@ -285,12 +276,26 @@ func newExecutor(st *State, plan *SubPlan, traced bool, inj *faults.Injector, ro
 		e.holders[f] = hs
 	}
 	if plan.Pinned {
+		if err := checkStagings(p, "staging", plan.Staging); err != nil {
+			return nil, err
+		}
 		e.planned = make(map[stageKey]Staging, len(plan.Staging))
 		for _, s := range plan.Staging {
 			e.planned[stageKey{s.File, s.Dest}] = s
 		}
 	}
+	if err := checkStagings(p, "pre-staging", plan.PreStage); err != nil {
+		return nil, err
+	}
+	listed := make([]bool, p.Batch.NumTasks())
 	for _, t := range plan.Tasks {
+		if t < 0 || int(t) >= p.Batch.NumTasks() {
+			return nil, fmt.Errorf("core: plan contains unknown task %d", t)
+		}
+		if listed[t] {
+			return nil, fmt.Errorf("core: plan lists task %d twice", t)
+		}
+		listed[t] = true
 		n, ok := plan.Node[t]
 		if !ok {
 			return nil, fmt.Errorf("core: plan contains task %d with no node assignment", t)
@@ -304,6 +309,27 @@ func newExecutor(st *State, plan *SubPlan, traced bool, inj *faults.Injector, ro
 		e.nodeTasks[n]++
 	}
 	return e, nil
+}
+
+// checkStagings rejects a plan's staging list (named list in the
+// error) when an entry names an unknown file, destination, kind or
+// replica source: Scheduler is a public interface, so plans come from
+// outside this package.
+func checkStagings(p *Problem, list string, ss []Staging) error {
+	nc := p.Platform.NumCompute()
+	for _, s := range ss {
+		switch {
+		case s.File < 0 || int(s.File) >= p.Batch.NumFiles():
+			return fmt.Errorf("core: %s entry names unknown file %d", list, s.File)
+		case s.Dest < 0 || s.Dest >= nc:
+			return fmt.Errorf("core: %s entry stages file %d onto unknown node %d", list, s.File, s.Dest)
+		case s.Kind != Remote && s.Kind != Replica:
+			return fmt.Errorf("core: %s entry for file %d has unknown kind %d", list, s.File, s.Kind)
+		case s.Kind == Replica && (s.Src < 0 || s.Src >= nc):
+			return fmt.Errorf("core: %s entry copies file %d from unknown node %d", list, s.File, s.Src)
+		}
+	}
+	return nil
 }
 
 // schedEnv abstracts committed vs tentative scheduling so the same
@@ -337,10 +363,6 @@ type schedEnv struct {
 	// record, when non-nil, captures each tentatively scheduled
 	// transfer so the twin-commit path can replay the exact slots.
 	record *[]specOp
-	// remoteRes is the scratch buffer remoteResources hands to
-	// multiSlot, reused across the millions of source probes a large
-	// batch issues.
-	remoteRes []gantt.SlotSearcher
 	// dynamicOnly forces dynamic (min-TCT) source choice even under a
 	// pinned plan: twin staging is not part of the IP plan, and
 	// single-hop dynamic transfers keep the recorded ops replayable.
@@ -455,9 +477,9 @@ func (v *schedEnv) searcher(tl *gantt.Timeline) gantt.SlotSearcher {
 	return ov
 }
 
-func (v *schedEnv) reserve(tl *gantt.Timeline, start, dur float64, tag int32) {
+func (v *schedEnv) reserve(tl *gantt.Timeline, start, dur float64) {
 	if v.commit {
-		tl.Reserve(start, dur, tag)
+		tl.Reserve(start, dur)
 		v.unsorted = v.unsorted || !tl.EndsSorted()
 		return
 	}
@@ -486,7 +508,7 @@ func (v *schedEnv) ensureFile(f batch.FileID, dst int) (float64, error) {
 	if v.visiting[key] {
 		// Replication cycle in a pinned plan; break it with a remote
 		// transfer.
-		return v.remoteTransfer(f, dst)
+		return v.transfer(f, -1, dst, 0)
 	}
 	v.visiting[key] = true
 	defer delete(v.visiting, key)
@@ -494,13 +516,16 @@ func (v *schedEnv) ensureFile(f batch.FileID, dst int) (float64, error) {
 	if v.e.plan.Pinned && !v.dynamicOnly {
 		if op, ok := v.e.planned[key]; ok {
 			if op.Kind == Remote || v.e.st.P.DisableReplication {
-				return v.remoteTransfer(f, dst)
+				return v.transfer(f, -1, dst, 0)
 			}
 			srcAt, err := v.ensureFile(f, op.Src)
 			if err != nil {
 				return 0, err
 			}
-			return v.replicaTransfer(f, op.Src, dst, srcAt)
+			if at, ok := v.availOn(dst, f); ok {
+				return at, nil // breaking a replication cycle staged f here
+			}
+			return v.transfer(f, op.Src, dst, srcAt)
 		}
 		// No planned movement for a file a task needs here: the plan is
 		// incomplete (should not happen for IP-feasible plans); fall
@@ -545,57 +570,35 @@ type memoEntry struct {
 // (while the searched interval ends stay sorted, see
 // gantt.Timeline.EndsSorted).
 func (v *schedEnv) bestSource(f batch.FileID, dst int) srcChoice {
-	pf := v.e.st.P.Platform
-	home := v.e.st.P.Batch.Files[f].Home
-	size := v.e.st.P.Batch.FileSize(f)
+	e := v.e
+	pf, size := e.st.P.Platform, float64(e.st.P.Batch.FileSize(f))
 	src := -1
-	dur := float64(size) / pf.RemoteBW(home, dst)
-	res := v.remoteResources(home, dst)
+	dur := e.transferDur(f, -1, dst)
+	rem := e.ports(f, -1, dst)
+	res := v.searchers(&rem)
 	sorted := true
-	for _, r := range res {
+	for _, r := range res[:rem.n] {
 		sorted = sorted && r.EndsSorted()
 	}
-	dstRes := res[1]
-	start := v.multiSlot(0, dur, res...)
+	dstRes := res[1] // hoisted: every port set lists dst second
+	start := v.multiSlot(0, dur, res[:rem.n]...)
 	tct := start + dur
 	lb, dmin := tct, dur
-	record := v.commit && v.e.st.J.Enabled()
+	record := v.commit && e.st.J.Enabled()
 	if record {
 		v.alts = append(v.alts[:0], journal.SourceAlt{Src: -1, TCT: tct})
 	}
-	if v.e.st.P.DisableReplication {
+	if e.st.P.DisableReplication {
 		if !sorted {
 			lb = math.Inf(-1)
 		}
 		return srcChoice{src, start, tct, lb, dmin}
 	}
 	// Visit only the nodes that hold (or are tentatively scheduled to
-	// receive) the file, merging the two ascending holder lists so the
-	// node order — and therefore every tie-break and journal entry — is
-	// exactly the filtered 0..C-1 scan this replaces. A committed
-	// holder's availability time comes straight from its list entry.
-	hs, ts := v.e.holders[f], v.scratchHolders(f)
-	hi, ti := 0, 0
-	for hi < len(hs) || ti < len(ts) {
-		var j int
-		var at float64
-		held := false
-		if hi < len(hs) && (ti >= len(ts) || hs[hi].node <= ts[ti]) {
-			j, at, held = int(hs[hi].node), hs[hi].at, true
-			hi++
-		} else {
-			j = int(ts[ti])
-			ti++
-		}
-		if j == dst {
-			continue
-		}
-		if !held {
-			if at, held = v.availOn(j, f); !held {
-				continue
-			}
-		}
-		rdur := float64(size) / pf.ReplicaBW(j, dst)
+	// receive) the file.
+	it := v.holderWalk(f, dst)
+	for j, at, ok := it.next(); ok; j, at, ok = it.next() {
+		rdur := size / pf.ReplicaBW(j, dst) // transferDur(f, j, dst), with f's size hoisted
 		if rdur < dmin {
 			dmin = rdur
 		}
@@ -608,7 +611,8 @@ func (v *schedEnv) bestSource(f batch.FileID, dst int) srcChoice {
 			}
 			continue
 		}
-		srcRes := v.searcher(v.e.computeTL[j])
+		rp := e.ports(f, j, dst)
+		srcRes := v.searcher(rp.tl[0])
 		sorted = sorted && srcRes.EndsSorted()
 		rstart := v.multiSlot(at, rdur, srcRes, dstRes)
 		rtct := rstart + rdur
@@ -791,7 +795,7 @@ func (v *schedEnv) stageInputs(files []batch.FileID, dst int, memo bool) (float6
 				v.checkReuse(cand.f, dst, cand.c, false, cand.alts)
 			}
 			if record {
-				// emitStage hands the list to the journal.
+				// commitTransfer hands the list to the journal.
 				v.alts = cand.alts
 			}
 			ws, we, err = v.stageFrom(cand.f, dst, cand.c)
@@ -841,17 +845,59 @@ func (v *schedEnv) checkStaging(cands []stageCand, dst, pos int) {
 	stagingCheck(dst, pos, cands[pos].c, refPos, ref)
 }
 
-// remoteResources returns the slot-search resources a remote staging
-// contends on. The returned slice aliases a per-env scratch buffer —
-// valid only until the next remoteResources call, which every caller
-// respects by using it before any further search.
-func (v *schedEnv) remoteResources(home, dst int) []gantt.SlotSearcher {
-	res := append(v.remoteRes[:0], v.searcher(v.e.storageTL[home]), v.searcher(v.e.computeTL[dst]))
-	if v.e.linkTL != nil {
-		res = append(res, v.searcher(v.e.linkTL))
+// portSet is the ports one transfer occupies for its whole duration,
+// in slot-search order (see executor.ports).
+type portSet struct {
+	tl [3]*gantt.Timeline
+	n  int
+}
+
+// ports returns the ports a transfer of f from src (-1 = f's storage
+// home) onto dst occupies: a remote staging holds the storage home,
+// dst and, on platforms with one, the shared link; a replica copy
+// holds src and dst. Every slot search, booking and burn of a transfer
+// goes through this set, which always lists dst second.
+func (e *executor) ports(f batch.FileID, src, dst int) portSet {
+	if src >= 0 {
+		return portSet{tl: [3]*gantt.Timeline{e.computeTL[src], e.computeTL[dst]}, n: 2}
 	}
-	v.remoteRes = res
+	ps := portSet{tl: [3]*gantt.Timeline{e.storageTL[e.st.P.Batch.Files[f].Home], e.computeTL[dst], e.linkTL}, n: 2}
+	if e.linkTL != nil {
+		ps.n = 3
+	}
+	return ps
+}
+
+// transferDur is how long moving f from src (-1 = f's storage home)
+// onto dst takes.
+func (e *executor) transferDur(f batch.FileID, src, dst int) float64 {
+	p := e.st.P
+	if src >= 0 {
+		return float64(p.Batch.FileSize(f)) / p.Platform.ReplicaBW(src, dst)
+	}
+	return float64(p.Batch.FileSize(f)) / p.Platform.RemoteBW(p.Batch.Files[f].Home, dst)
+}
+
+// searchers returns this env's view of ps's ports, in ps's order.
+func (v *schedEnv) searchers(ps *portSet) (res [3]gantt.SlotSearcher) {
+	for i, tl := range ps.tl[:ps.n] {
+		res[i] = v.searcher(tl)
+	}
 	return res
+}
+
+// slot returns the earliest start ≥ after at which dur fits on every
+// port of ps in this env's view.
+func (v *schedEnv) slot(after, dur float64, ps portSet) float64 {
+	res := v.searchers(&ps)
+	return v.multiSlot(after, dur, res[:ps.n]...)
+}
+
+// book reserves [start, start+dur) on every port of ps.
+func (v *schedEnv) book(ps portSet, start, dur float64) {
+	for _, tl := range ps.tl[:ps.n] {
+		v.reserve(tl, start, dur)
+	}
 }
 
 func (v *schedEnv) multiSlot(after, dur float64, res ...gantt.SlotSearcher) float64 {
@@ -861,31 +907,63 @@ func (v *schedEnv) multiSlot(after, dur float64, res ...gantt.SlotSearcher) floa
 	return gantt.MultiSlot(after, dur, res...)
 }
 
-func (v *schedEnv) remoteTransfer(f batch.FileID, dst int) (float64, error) {
-	if v.commit && v.e.inj != nil {
-		_, at, err := v.faultyTransfer(f, -1, dst, 0)
-		return at, err
-	}
-	p := v.e.st.P
-	home := p.Batch.Files[f].Home
-	dur := float64(p.Batch.FileSize(f)) / p.Platform.RemoteBW(home, dst)
-	return v.place(f, -1, dst, v.multiSlot(0, dur, v.remoteResources(home, dst)...))
+// holderIter walks the nodes other than dst that hold f in an env's
+// view: the executor's committed holder list merged with the env's
+// tentatively scheduled receivers. The walk ascends by node, so source
+// ties break, and alternatives are journaled, in node order.
+type holderIter struct {
+	v   *schedEnv
+	f   batch.FileID
+	dst int
+	hs  []fileCopy
+	ts  []int32
 }
 
-func (v *schedEnv) replicaTransfer(f batch.FileID, src, dst int, srcAt float64) (float64, error) {
+func (v *schedEnv) holderWalk(f batch.FileID, dst int) holderIter {
+	return holderIter{v: v, f: f, dst: dst, hs: v.e.holders[f], ts: v.scratchHolders(f)}
+}
+
+// next returns the next holder and the availability time of its copy
+// (straight from the list entry for a committed holder); ok is false
+// once the walk is done.
+func (it *holderIter) next() (node int, at float64, ok bool) {
+	for len(it.hs) > 0 || len(it.ts) > 0 {
+		if len(it.hs) > 0 && (len(it.ts) == 0 || it.hs[0].node <= it.ts[0]) {
+			c := it.hs[0]
+			it.hs = it.hs[1:]
+			if int(c.node) != it.dst {
+				return int(c.node), c.at, true
+			}
+			continue
+		}
+		j := int(it.ts[0])
+		it.ts = it.ts[1:]
+		if j == it.dst {
+			continue
+		}
+		if at, held := it.v.availOn(j, it.f); held {
+			return j, at, true
+		}
+	}
+	return 0, 0, false
+}
+
+// transfer stages f onto dst from src (-1 = f's storage home; srcAt is
+// when src's copy is available) at the earliest slot free on every
+// port the transfer occupies. Under fault injection the commit goes
+// through faultyTransfer, which draws each attempt's failures and may
+// land the file later.
+func (v *schedEnv) transfer(f batch.FileID, src, dst int, srcAt float64) (float64, error) {
 	if v.commit && v.e.inj != nil {
 		_, at, err := v.faultyTransfer(f, src, dst, srcAt)
 		return at, err
 	}
-	p := v.e.st.P
-	dur := float64(p.Batch.FileSize(f)) / p.Platform.ReplicaBW(src, dst)
-	return v.place(f, src, dst, v.multiSlot(srcAt, dur, v.searcher(v.e.computeTL[src]), v.searcher(v.e.computeTL[dst])))
+	e := v.e
+	return v.place(f, src, dst, v.slot(srcAt, e.transferDur(f, src, dst), e.ports(f, src, dst)))
 }
 
 // stageFrom stages f onto dst from the source a search chose, at the
 // slot it found, and returns the slot [start, end) it reserved on dst.
-// Under fault injection the commit goes through faultyTransfer, which
-// draws each attempt's failures and may land the file later.
 func (v *schedEnv) stageFrom(f batch.FileID, dst int, c srcChoice) (start, end float64, err error) {
 	if v.commit && v.e.inj != nil {
 		srcAt := 0.0
@@ -900,32 +978,15 @@ func (v *schedEnv) stageFrom(f batch.FileID, dst int, c srcChoice) (start, end f
 
 // place books the transfer of f from src (-1 = f's storage home) onto
 // dst at a slot start already found free on every port it occupies:
-// committed through commitRemote/commitReplica, or tentatively on the
-// env's overlays.
+// committed through commitTransfer, or tentatively on the env's
+// overlays.
 func (v *schedEnv) place(f batch.FileID, src, dst int, start float64) (float64, error) {
 	e := v.e
-	p := e.st.P
-	size := p.Batch.FileSize(f)
-	var dur float64
-	if src < 0 {
-		home := p.Batch.Files[f].Home
-		dur = float64(size) / p.Platform.RemoteBW(home, dst)
-		if v.commit {
-			return v.commitRemote(f, home, dst, start, dur)
-		}
-		v.reserve(e.storageTL[home], start, dur, tagTransfer)
-		v.reserve(e.computeTL[dst], start, dur, tagTransfer)
-		if e.linkTL != nil {
-			v.reserve(e.linkTL, start, dur, tagTransfer)
-		}
-	} else {
-		dur = float64(size) / p.Platform.ReplicaBW(src, dst)
-		if v.commit {
-			return v.commitReplica(f, src, dst, start, dur)
-		}
-		v.reserve(e.computeTL[src], start, dur, tagTransfer)
-		v.reserve(e.computeTL[dst], start, dur, tagTransfer)
+	dur := e.transferDur(f, src, dst)
+	if v.commit {
+		return v.commitTransfer(f, src, dst, start, dur)
 	}
+	v.book(e.ports(f, src, dst), start, dur)
 	if v.record != nil {
 		*v.record = append(*v.record, specOp{file: f, src: src, dst: dst, start: start, dur: dur})
 	}
@@ -933,71 +994,48 @@ func (v *schedEnv) place(f batch.FileID, src, dst int, start float64) (float64, 
 	return start + dur, nil
 }
 
-// emitStage journals one committed transfer, consuming the source
-// alternatives bestSource captured for it (if any). src is -1 for
-// remote stagings.
-func (v *schedEnv) emitStage(f batch.FileID, src, dst int, kind string, start, dur float64, size int64) {
+// commitTransfer reserves and records a transfer of f from src (-1 =
+// f's storage home) onto dst whose slot [start, start+dur) has already
+// been found: disk cache, statistics, validator record and a journal
+// stage event carrying the source alternatives bestSource captured for
+// it (if any).
+func (v *schedEnv) commitTransfer(f batch.FileID, src, dst int, start, dur float64) (float64, error) {
 	e := v.e
-	j := e.st.J
-	if !j.Enabled() {
-		return
-	}
-	cause := "task"
-	switch {
-	case e.specCause != "":
-		cause = e.specCause
-	case e.curTask < 0:
-		cause = "prestage"
-	case e.curAttempt > 1:
-		cause = "retry"
-	}
-	alts := v.alts
-	v.alts = nil
+	size := e.st.P.Batch.FileSize(f)
+	v.book(e.ports(f, src, dst), start, dur)
 	b := e.base()
-	j.Emit(journal.Event{T: b + start, Kind: journal.KindStage, Round: e.round, Stage: &journal.Stage{
-		File: int(f), Dest: dst, Src: src, Home: e.st.P.Batch.Files[f].Home, Kind: kind,
-		Start: b + start, End: b + start + dur, Bytes: size,
-		Cause: cause, Task: e.curTask, Attempt: e.curAttempt, Alternatives: alts,
-	}})
-}
-
-// commitRemote reserves and records a storage→compute staging whose
-// slot [start, start+dur) has already been found.
-func (v *schedEnv) commitRemote(f batch.FileID, home, dst int, start, dur float64) (float64, error) {
-	size := v.e.st.P.Batch.FileSize(f)
-	v.reserve(v.e.storageTL[home], start, dur, tagTransfer)
-	v.reserve(v.e.computeTL[dst], start, dur, tagTransfer)
-	if v.e.linkTL != nil {
-		v.reserve(v.e.linkTL, start, dur, tagTransfer)
-	}
-	if err := v.e.st.AddFile(dst, f, v.e.base()+start+dur); err != nil {
+	if err := e.st.AddFile(dst, f, b+start+dur); err != nil {
 		return 0, err
 	}
-	v.e.stats.RemoteTransfers++
-	v.e.stats.RemoteBytes += size
-	if v.e.trace != nil {
-		v.e.trace.Stages = append(v.e.trace.Stages, gantt.StageEvent{File: int(f), Node: dst, Avail: start + dur, Size: size})
+	kind := "remote"
+	if src >= 0 {
+		kind = "replica"
+		e.stats.ReplicaTransfers++
+		e.stats.ReplicaBytes += size
+	} else {
+		e.stats.RemoteTransfers++
+		e.stats.RemoteBytes += size
 	}
-	v.emitStage(f, -1, dst, "remote", start, dur, size)
-	v.setAvail(dst, f, start+dur)
-	return start + dur, nil
-}
-
-// commitReplica reserves and records a compute→compute copy whose slot
-// [start, start+dur) has already been found.
-func (v *schedEnv) commitReplica(f batch.FileID, src, dst int, start, dur float64) (float64, error) {
-	size := v.e.st.P.Batch.FileSize(f)
-	v.reserve(v.e.computeTL[src], start, dur, tagTransfer)
-	v.reserve(v.e.computeTL[dst], start, dur, tagTransfer)
-	if err := v.e.st.AddFile(dst, f, v.e.base()+start+dur); err != nil {
-		return 0, err
+	if e.trace != nil {
+		e.trace.Stages = append(e.trace.Stages, gantt.StageEvent{File: int(f), Node: dst, Avail: start + dur, Size: size})
 	}
-	v.e.stats.ReplicaTransfers++
-	v.e.stats.ReplicaBytes += size
-	if v.e.trace != nil {
-		v.e.trace.Stages = append(v.e.trace.Stages, gantt.StageEvent{File: int(f), Node: dst, Avail: start + dur, Size: size})
+	if j := e.st.J; j.Enabled() {
+		cause := "task"
+		switch {
+		case e.specCause != "":
+			cause = e.specCause
+		case e.curTask < 0:
+			cause = "prestage"
+		case e.curAttempt > 1:
+			cause = "retry"
+		}
+		j.Emit(journal.Event{T: b + start, Kind: journal.KindStage, Round: e.round, Stage: &journal.Stage{
+			File: int(f), Dest: dst, Src: src, Home: e.st.P.Batch.Files[f].Home, Kind: kind,
+			Start: b + start, End: b + start + dur, Bytes: size,
+			Cause: cause, Task: e.curTask, Attempt: e.curAttempt, Alternatives: v.alts,
+		}})
 	}
-	v.emitStage(f, src, dst, "replica", start, dur, size)
+	v.alts = nil
 	v.setAvail(dst, f, start+dur)
 	return start + dur, nil
 }
@@ -1005,52 +1043,29 @@ func (v *schedEnv) commitReplica(f batch.FileID, src, dst int, start, dur float6
 // survivingReplica picks the retry source for staging f onto dst
 // after a failed attempt: among nodes already holding the file it
 // returns the one whose copy would complete earliest without the
-// source crashing first. ok is false when no replica survives (the
-// retry then falls back to the storage cluster).
-func (v *schedEnv) survivingReplica(f batch.FileID, dst int, after float64) (src int, start, dur float64, ok bool) {
+// source crashing first, and that copy's slot start. ok is false (and
+// src -1) when no replica survives: the retry then falls back to the
+// storage cluster.
+func (v *schedEnv) survivingReplica(f batch.FileID, dst int, after float64) (src int, start float64, ok bool) {
 	e := v.e
-	p := e.st.P
-	if p.DisableReplication {
-		return -1, 0, 0, false
-	}
-	size := p.Batch.FileSize(f)
-	best := math.Inf(1)
 	src = -1
-	// Same merged holder-list walk as bestSource: only nodes with a
-	// committed (or, in tentative envs, scheduled) copy are visited, in
-	// ascending node order.
-	hs, ts := e.holders[f], v.scratchHolders(f)
-	hi, ti := 0, 0
-	for hi < len(hs) || ti < len(ts) {
-		var j int
-		var at float64
-		held := false
-		if hi < len(hs) && (ti >= len(ts) || hs[hi].node <= ts[ti]) {
-			j, at, held = int(hs[hi].node), hs[hi].at, true
-			hi++
-		} else {
-			j = int(ts[ti])
-			ti++
-		}
-		if j == dst {
-			continue
-		}
-		if !held {
-			if at, held = v.availOn(j, f); !held {
-				continue
-			}
-		}
-		jdur := float64(size) / p.Platform.ReplicaBW(j, dst)
-		jstart := v.multiSlot(math.Max(after, at), jdur, v.searcher(e.computeTL[j]), v.searcher(e.computeTL[dst]))
+	if e.st.P.DisableReplication {
+		return src, 0, false
+	}
+	best := math.Inf(1)
+	it := v.holderWalk(f, dst)
+	for j, at, more := it.next(); more; j, at, more = it.next() {
+		jdur := e.transferDur(f, j, dst)
+		jstart := v.slot(math.Max(after, at), jdur, e.ports(f, j, dst))
 		end := jstart + jdur
 		if end > e.crashRel[j] {
 			continue // source dies before the copy completes
 		}
 		if end < best {
-			best, src, start, dur = end, j, jstart, jdur
+			best, src, start = end, j, jstart
 		}
 	}
-	return src, start, dur, src >= 0
+	return src, start, src >= 0
 }
 
 // faultyTransfer is the transfer commit path under fault injection:
@@ -1065,30 +1080,24 @@ func (v *schedEnv) survivingReplica(f batch.FileID, dst int, after float64) (src
 // a faultAbort.
 func (v *schedEnv) faultyTransfer(f batch.FileID, src, dst int, srcAt float64) (slotStart, slotEnd float64, err error) {
 	e := v.e
-	p := e.st.P
 	inj := e.inj
-	size := p.Batch.FileSize(f)
-	home := p.Batch.Files[f].Home
 	after := 0.0
 	for attempt := 1; attempt <= inj.MaxTransferRetries(); attempt++ {
-		curSrc := src
-		var start, dur float64
+		curSrc, start, found := src, 0.0, false
 		if attempt > 1 {
 			// Alternatives captured for the first attempt's source choice
 			// no longer describe this retry's decision.
 			v.alts = nil
-			var ok bool
-			curSrc, start, dur, ok = v.survivingReplica(f, dst, after)
-			if !ok {
-				curSrc = -1
-			}
-		} else if curSrc >= 0 {
-			dur = float64(size) / p.Platform.ReplicaBW(curSrc, dst)
-			start = v.multiSlot(math.Max(after, srcAt), dur, v.searcher(e.computeTL[curSrc]), v.searcher(e.computeTL[dst]))
+			curSrc, start, found = v.survivingReplica(f, dst, after)
 		}
-		if curSrc < 0 {
-			dur = float64(size) / p.Platform.RemoteBW(home, dst)
-			start = v.multiSlot(after, dur, v.remoteResources(home, dst)...)
+		dur := e.transferDur(f, curSrc, dst)
+		ps := e.ports(f, curSrc, dst)
+		if !found {
+			from := after
+			if curSrc >= 0 {
+				from = math.Max(after, srcAt)
+			}
+			start = v.slot(from, dur, ps)
 		}
 		end := start + dur
 
@@ -1111,12 +1120,7 @@ func (v *schedEnv) faultyTransfer(f batch.FileID, src, dst int, srcAt float64) (
 		}
 		if math.IsInf(failAt, 1) {
 			e.curAttempt = attempt
-			at, err := 0.0, error(nil)
-			if curSrc >= 0 {
-				at, err = v.commitReplica(f, curSrc, dst, start, dur)
-			} else {
-				at, err = v.commitRemote(f, home, dst, start, dur)
-			}
+			at, err := v.commitTransfer(f, curSrc, dst, start, dur)
 			e.curAttempt = 0
 			if err != nil {
 				return 0, 0, err
@@ -1137,15 +1141,7 @@ func (v *schedEnv) faultyTransfer(f batch.FileID, src, dst int, srcAt float64) (
 		e.stats.TransferFailures++
 		e.stats.WastedSeconds += failAt - start
 		if failAt > start {
-			if curSrc >= 0 {
-				v.reserve(e.computeTL[curSrc], start, failAt-start, tagFault)
-			} else {
-				v.reserve(e.storageTL[home], start, failAt-start, tagFault)
-				if e.linkTL != nil {
-					v.reserve(e.linkTL, start, failAt-start, tagFault)
-				}
-			}
-			v.reserve(e.computeTL[dst], start, failAt-start, tagFault)
+			v.book(ps, start, failAt-start)
 		}
 		if j := e.st.J; j.Enabled() {
 			detail := "link failure mid-transfer"
@@ -1157,7 +1153,7 @@ func (v *schedEnv) faultyTransfer(f batch.FileID, src, dst int, srcAt float64) (
 					detail = "source replica node crashed mid-transfer"
 				}
 			}
-			srcDesc := "storage home " + strconv.Itoa(home)
+			srcDesc := "storage home " + strconv.Itoa(e.st.P.Batch.Files[f].Home)
 			if curSrc >= 0 {
 				srcDesc = "replica on node " + strconv.Itoa(curSrc)
 			}
@@ -1185,15 +1181,31 @@ func (e *executor) base() float64 { return e.st.Clock }
 // burnKilled is the burn detail of an execution a node crash killed.
 const burnKilled = "execution killed by node crash"
 
-// burn journals a killed or cancelled attempt's reservation
-// [start, stop) on node's port (sub-batch-relative times); file is the
-// cut-off transfer's file, -1 for an execution.
-func (e *executor) burn(node, task, file int, start, stop float64, detail string) {
+// burn books the killed or cancelled window [start, stop) of one
+// attempt (sub-batch-relative times) and journals it as a burn fault
+// on node: task's execution on node's port when op is nil, else the
+// twin transfer op on every port it held. It returns the seconds
+// burned, 0 when the attempt had not started by stop.
+func (e *executor) burn(node, task int, op *specOp, start, stop float64, detail string) float64 {
+	if stop <= start {
+		return 0
+	}
+	file := -1
+	if op == nil {
+		e.computeTL[node].Reserve(start, stop-start)
+	} else {
+		file = int(op.file)
+		ps := e.ports(op.file, op.src, op.dst)
+		for _, tl := range ps.tl[:ps.n] {
+			tl.Reserve(start, stop-start)
+		}
+	}
 	if j := e.st.J; j.Enabled() {
 		b := e.base()
 		j.Emit(journal.Event{T: b + stop, Kind: journal.KindFault, Round: e.round,
 			Fault: &journal.Fault{Class: journal.FaultBurn, Node: node, Task: task, File: file, Start: b + start, Detail: detail}})
 	}
+	return stop - start
 }
 
 // scheduleTask stages task t's missing files (greedy min-TCT order,
@@ -1222,11 +1234,7 @@ func (e *executor) scheduleTask(t batch.TaskID, commit bool) (float64, error) {
 
 	// Execute: local read of all inputs plus computation, on the
 	// node's port (no staging overlaps execution).
-	var bytes int64
-	for _, f := range task.Files {
-		bytes += e.st.P.Batch.FileSize(f)
-	}
-	baseDur := float64(bytes)/e.st.P.Platform.Compute[c].LocalReadBW + task.Compute
+	baseDur := float64(e.st.P.Batch.TaskBytes(t))/e.st.P.Platform.Compute[c].LocalReadBW + task.Compute
 	execDur := baseDur
 	stragFactor := 0.0
 	if commit && e.inj != nil {
@@ -1260,11 +1268,7 @@ func (e *executor) scheduleTask(t batch.TaskID, commit bool) (float64, error) {
 		if crashAt := e.crashRel[c]; start+execDur > crashAt {
 			// Node c dies before this execution completes: burn the
 			// started portion and hand the task back for re-queueing.
-			if start < crashAt {
-				e.computeTL[c].Reserve(start, crashAt-start, tagFault)
-				e.stats.WastedSeconds += crashAt - start
-				e.burn(c, int(t), -1, start, crashAt, burnKilled)
-			}
+			e.stats.WastedSeconds += e.burn(c, int(t), nil, start, crashAt, burnKilled)
 			e.crashSeen[c] = true
 			return 0, &faultAbort{node: c, at: crashAt, crash: true,
 				reason: fmt.Sprintf("node %d crashed during task %d execution", c, t)}
@@ -1280,7 +1284,7 @@ func (e *executor) scheduleTask(t batch.TaskID, commit bool) (float64, error) {
 // and records every side effect of a completed task: Done marking,
 // file touches, validator and journal records.
 func (e *executor) commitExec(t batch.TaskID, c int, task *batch.Task, start, dur float64) {
-	e.computeTL[c].Reserve(start, dur, tagExec)
+	e.computeTL[c].Reserve(start, dur)
 	e.st.Done[t] = true
 	e.stats.TasksRun++
 	for _, f := range task.Files {
@@ -1369,7 +1373,7 @@ func (e *executor) planTwin(t batch.TaskID, task *batch.Task, j, c int, forkT, p
 	// The primary keeps executing while the twin races it: its full
 	// stretched window occupies node c in the twin's view, so copies
 	// sourced from c queue behind it.
-	v.reserve(e.computeTL[c], primStart, primDur, tagExec)
+	v.reserve(e.computeTL[c], primStart, primDur)
 	// A copy must complete before its source node crashes (the same
 	// rule survivingReplica applies on the retry path): block every
 	// crash-doomed node's port from its crash time onward, so copies
@@ -1384,7 +1388,7 @@ func (e *executor) planTwin(t batch.TaskID, task *batch.Task, j, c int, forkT, p
 			if ca < 0 {
 				ca = 0
 			}
-			v.reserve(e.computeTL[j2], ca, specFar, tagFault)
+			v.reserve(e.computeTL[j2], ca, specFar)
 		}
 	}
 
@@ -1393,13 +1397,9 @@ func (e *executor) planTwin(t batch.TaskID, task *batch.Task, j, c int, forkT, p
 	// state, so the memo stays out.
 	arrival, _ := v.stageInputs(task.Files, j, false)
 
-	var bytes int64
-	for _, f := range task.Files {
-		bytes += e.st.P.Batch.FileSize(f)
-	}
 	// The twin draws its own straggler luck through disjoint hash
 	// domains: forking never perturbs any primary-path draw.
-	dur := (float64(bytes)/e.st.P.Platform.Compute[j].LocalReadBW + task.Compute) * e.inj.SpecStraggler(int(t), e.round)
+	dur := (float64(e.st.P.Batch.TaskBytes(t))/e.st.P.Platform.Compute[j].LocalReadBW + task.Compute) * e.inj.SpecStraggler(int(t), e.round)
 	exStart := v.searcher(e.computeTL[j]).EarliestSlot(math.Max(arrival, forkT), dur)
 	return twinPlan{node: j, ops: ops, execStart: exStart, execDur: dur, end: exStart + dur}
 }
@@ -1408,47 +1408,58 @@ func (e *executor) planTwin(t batch.TaskID, task *batch.Task, j, c int, forkT, p
 // committed timelines. Ops finishing by stopT commit as real stagings
 // with journaled cause "spec" (the copies persist — even a losing
 // twin leaves useful replicas behind); ops in flight at stopT are
-// cancelled: the occupied port time burns as tag-fault reservations
-// and the staging is rolled back through State (AddFile then Unstage)
-// so the disk cache never shows a half-arrived file. Ops not yet
-// started at stopT vanish. Returns the burnt port-seconds and whether
-// any op had started.
+// cancelled: the occupied port time burns and the staging is rolled
+// back through State (AddFile then Unstage) so the disk cache never
+// shows a half-arrived file. Ops not yet started at stopT vanish.
+// Returns the burnt port-seconds and whether any op had started.
 func (e *executor) commitTwinOps(bp twinPlan, stopT float64) (waste float64, started bool, err error) {
 	v := newSchedEnv(e, true)
-	for _, op := range bp.ops {
+	e.specCause = "spec"
+	defer func() { e.specCause = "" }()
+	for i := range bp.ops {
+		op := &bp.ops[i]
 		if op.start >= stopT {
 			continue
 		}
 		started = true
 		if op.start+op.dur <= stopT {
-			if op.src >= 0 {
-				_, err = v.commitReplica(op.file, op.src, op.dst, op.start, op.dur)
-			} else {
-				_, err = v.commitRemote(op.file, e.st.P.Batch.Files[op.file].Home, op.dst, op.start, op.dur)
-			}
-			if err != nil {
+			if _, err = v.commitTransfer(op.file, op.src, op.dst, op.start, op.dur); err != nil {
 				return waste, started, err
 			}
 			continue
 		}
-		cut := stopT - op.start
-		if op.src >= 0 {
-			e.computeTL[op.src].Reserve(op.start, cut, tagFault)
-		} else {
-			e.storageTL[e.st.P.Batch.Files[op.file].Home].Reserve(op.start, cut, tagFault)
-			if e.linkTL != nil {
-				e.linkTL.Reserve(op.start, cut, tagFault)
-			}
-		}
-		e.computeTL[op.dst].Reserve(op.start, cut, tagFault)
 		if err = e.st.AddFile(op.dst, op.file, e.base()+stopT); err != nil {
 			return waste, started, err
 		}
 		e.st.Unstage(op.dst, op.file)
-		waste += cut
-		e.burn(op.dst, e.curTask, int(op.file), op.start, stopT, "twin's transfer cut off when the twin stopped")
+		waste += e.burn(op.dst, e.curTask, op, op.start, stopT, "twin's transfer cut off when the twin stopped")
 	}
 	return waste, started, nil
+}
+
+// cancelTwin stops task t's losing twin bp at stopT — when the primary
+// finished, or when crashed, when the twin's own host died: transfers
+// done by then commit, the one in flight is cut, and the execution
+// window up to stopT burns. It returns the twin's burnt port-seconds.
+func (e *executor) cancelTwin(bp twinPlan, t batch.TaskID, stopT float64, crashed bool) (float64, error) {
+	waste, started, err := e.commitTwinOps(bp, stopT)
+	if err != nil {
+		return 0, err
+	}
+	detail := "twin cancelled: primary finished first"
+	if crashed {
+		detail = "twin " + burnKilled
+	}
+	if w := e.burn(bp.node, int(t), nil, bp.execStart, stopT, detail); w > 0 {
+		waste += w
+		started = true
+	}
+	e.stats.SpecWastedSeconds += waste
+	if crashed && started {
+		e.crashSeen[bp.node] = true
+	}
+	e.stats.SpecCancels++
+	return waste, nil
 }
 
 // trySpeculate is the watchdog hook on the commit path: when task t's
@@ -1569,28 +1580,16 @@ func (e *executor) trySpeculate(v *schedEnv, t batch.TaskID, c int, task *batch.
 		// as the task's real execution.
 		primStop := twinEnd
 		crashKilled := false
+		detail := "primary cancelled: twin finished first"
 		if e.crashRel[c] < primStop {
-			primStop, crashKilled = e.crashRel[c], true
-		}
-		if primStop > start {
-			e.computeTL[c].Reserve(start, primStop-start, tagFault)
-			e.stats.SpecWastedSeconds += primStop - start
-			detail := "primary cancelled: twin finished first"
-			if crashKilled {
-				detail = burnKilled
-			}
-			e.burn(c, int(t), -1, start, primStop, detail)
-		}
-		if crashKilled {
+			primStop, crashKilled, detail = e.crashRel[c], true, burnKilled
 			e.crashSeen[c] = true
 		}
+		e.stats.SpecWastedSeconds += e.burn(c, int(t), nil, start, primStop, detail)
 		if !primAlive {
 			e.stats.SpecSaved++
 		}
-		e.specCause = "spec"
-		_, _, err := e.commitTwinOps(bp, math.Inf(1))
-		e.specCause = ""
-		if err != nil {
+		if _, _, err := e.commitTwinOps(bp, math.Inf(1)); err != nil {
 			return true, 0, err
 		}
 		e.commitExec(t, best, task, bp.execStart, bp.execDur)
@@ -1624,27 +1623,10 @@ func (e *executor) trySpeculate(v *schedEnv, t batch.TaskID, c int, task *batch.
 		if twinCrashed {
 			twinStop = e.crashRel[best]
 		}
-		e.specCause = "spec"
-		waste, startedAny, err := e.commitTwinOps(bp, twinStop)
-		e.specCause = ""
+		waste, err := e.cancelTwin(bp, t, twinStop, twinCrashed)
 		if err != nil {
 			return true, 0, err
 		}
-		if bp.execStart < twinStop {
-			e.computeTL[best].Reserve(bp.execStart, twinStop-bp.execStart, tagFault)
-			waste += twinStop - bp.execStart
-			startedAny = true
-			detail := "twin cancelled: primary finished first"
-			if twinCrashed {
-				detail = "twin " + burnKilled
-			}
-			e.burn(best, int(t), -1, bp.execStart, twinStop, detail)
-		}
-		e.stats.SpecWastedSeconds += waste
-		if twinCrashed && startedAny {
-			e.crashSeen[best] = true
-		}
-		e.stats.SpecCancels++
 		if j := e.st.J; j.Enabled() {
 			te := b + twinEnd
 			if !twinAlive {
@@ -1668,30 +1650,13 @@ func (e *executor) trySpeculate(v *schedEnv, t batch.TaskID, c int, task *batch.
 	// the single faultAbort, so a killed task with a twin in flight is
 	// never double-requeued).
 	crashAt := e.crashRel[c]
-	if crashAt > start {
-		e.computeTL[c].Reserve(start, crashAt-start, tagFault)
-		e.stats.WastedSeconds += crashAt - start
-		e.burn(c, int(t), -1, start, crashAt, burnKilled)
-	}
+	e.stats.WastedSeconds += e.burn(c, int(t), nil, start, crashAt, burnKilled)
 	e.crashSeen[c] = true
 	twinStop := e.crashRel[best]
-	e.specCause = "spec"
-	waste, startedAny, err := e.commitTwinOps(bp, twinStop)
-	e.specCause = ""
+	waste, err := e.cancelTwin(bp, t, twinStop, true)
 	if err != nil {
 		return true, 0, err
 	}
-	if bp.execStart < twinStop {
-		e.computeTL[best].Reserve(bp.execStart, twinStop-bp.execStart, tagFault)
-		waste += twinStop - bp.execStart
-		startedAny = true
-		e.burn(best, int(t), -1, bp.execStart, twinStop, "twin "+burnKilled)
-	}
-	e.stats.SpecWastedSeconds += waste
-	if startedAny {
-		e.crashSeen[best] = true
-	}
-	e.stats.SpecCancels++
 	if j := e.st.J; j.Enabled() {
 		j.Emit(journal.Event{T: b + twinStop, Kind: journal.KindSpecCancel, Round: e.round, Spec: &journal.Spec{
 			Task: int(t), Node: c, Twin: best, Winner: "none", PrimaryEnd: -1, TwinEnd: -1, WastedS: waste,
@@ -1748,12 +1713,13 @@ func (h *ectHeap) pop() ectEntry {
 	return q[n]
 }
 
+// run commits the sub-batch: pre-staging first, then tasks in cached
+// earliest-completion-time order. This is not the paper's literal
+// "lowest ECT first" rule: a commit invalidates only the cached ECTs of
+// tasks on the same node, and a re-evaluated task commits if it is
+// within commitSlack of the heap top (DESIGN §14 measures the
+// difference).
 func (e *executor) run() (*ExecStats, error) {
-	// Global earliest-completion-time ordering with lazy re-evaluation:
-	// cached ECTs go stale only when a commit changes the Gantt state,
-	// so each pop re-evaluates at most once per version. This is the
-	// paper's "schedule the task with the lowest earliest completion
-	// time first" rule.
 	// Pre-staging ops (e.g. DataLeastLoaded replicas) commit first so
 	// every task sees the extra copies.
 	for _, op := range e.plan.PreStage {
@@ -1762,14 +1728,11 @@ func (e *executor) run() (*ExecStats, error) {
 		}
 		e.curTask = -1 // journaled as planner-directed pre-staging
 		e.epoch++
-		v := newSchedEnv(e, true)
-		var err error
-		if srcAt, held := e.committedAt(op.Src, op.File); op.Kind == Replica && !e.st.P.DisableReplication && held {
-			_, err = v.replicaTransfer(op.File, op.Src, op.Dest, srcAt)
-		} else {
-			_, err = v.remoteTransfer(op.File, op.Dest)
+		src, srcAt := -1, 0.0
+		if at, held := e.committedAt(op.Src, op.File); op.Kind == Replica && !e.st.P.DisableReplication && held {
+			src, srcAt = op.Src, at
 		}
-		if err != nil {
+		if _, err := newSchedEnv(e, true).transfer(op.File, src, op.Dest, srcAt); err != nil {
 			// Pre-staging is a best-effort optimization: a fault-aborted
 			// op is simply skipped (tasks re-stage on demand).
 			var fa *faultAbort
@@ -1786,8 +1749,7 @@ func (e *executor) run() (*ExecStats, error) {
 	// keep slightly stale estimates. Together with a small relative
 	// commit tolerance for near-tied candidates this keeps ordering
 	// cost near O(T·files) instead of O(T²·files) on large
-	// sub-batches, while preserving the §6 earliest-completion-time
-	// discipline.
+	// sub-batches.
 	h := make(ectHeap, 0, len(e.plan.Tasks))
 	nodeVer := make([]int, len(e.computeTL))
 	for _, t := range e.plan.Tasks {

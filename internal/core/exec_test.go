@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/batch"
@@ -113,16 +114,14 @@ func TestExecutePinnedPlanFollowsSources(t *testing.T) {
 func TestExecutePinnedCycleFallsBack(t *testing.T) {
 	// A (nonsensical) cyclic pinned plan: 0 sources from 1 and 1 from
 	// 0. The executor must break the cycle with a remote transfer
-	// instead of deadlocking.
+	// instead of deadlocking, and then not copy the file back onto the
+	// node the remote transfer already filled (the validator rejects a
+	// file staged twice onto one node).
 	b := batch.New()
 	f := b.AddFile("f", 10*platform.MB, 0)
 	t0 := b.AddTask("t0", 0.1, []batch.FileID{f})
 	t1 := b.AddTask("t1", 0.1, []batch.FileID{f})
 	p := twoNodeProblem(t, b)
-	st, err := NewState(p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	plan := &SubPlan{
 		Tasks:  []batch.TaskID{t0, t1},
 		Node:   map[batch.TaskID]int{t0: 0, t1: 1},
@@ -132,14 +131,15 @@ func TestExecutePinnedCycleFallsBack(t *testing.T) {
 			{File: f, Dest: 1, Kind: Replica, Src: 0},
 		},
 	}
-	stats, err := Execute(st, plan)
+	res, err := RunWith(p, fixedPlan{plan}, RunOptions{Checked: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.RemoteTransfers < 1 {
-		t.Fatal("cycle not broken by a remote transfer")
+	if res.RemoteTransfers != 1 || res.ReplicaTransfers != 1 {
+		t.Fatalf("remote/replica transfers = %d/%d, want 1/1: one remote breaks the cycle, one copy serves the other node",
+			res.RemoteTransfers, res.ReplicaTransfers)
 	}
-	if !st.Done[t0] || !st.Done[t1] {
+	if res.TasksRun != 2 {
 		t.Fatal("tasks did not complete")
 	}
 }
@@ -249,9 +249,9 @@ func TestStageInputsUnsortedMidPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.storageTL[0].Reserve(0, 100, tagFault) // remote copies wait until 100
+	e.storageTL[0].Reserve(0, 100) // remote copies wait until 100
 	v := e.tentativeEnv()
-	v.reserve(e.computeTL[0], 5, 5, tagExec)
+	v.reserve(e.computeTL[0], 5, 5)
 	v.setAvail(1, z, 5+gantt.OverlapEps/2)
 	rounds, bad := CheckLazyStaging(func() {
 		if _, err = v.stageInputs([]batch.FileID{z, f, g}, 0, false); err != nil {
@@ -266,5 +266,52 @@ func TestStageInputsUnsortedMidPass(t *testing.T) {
 	}
 	if e.stats.Probes != 6 || e.stats.BoundSkips != 0 {
 		t.Fatalf("Probes/BoundSkips = %d/%d, want 6/0", e.stats.Probes, e.stats.BoundSkips)
+	}
+}
+
+// fixedPlan is a Scheduler that answers every round with one plan.
+type fixedPlan struct{ plan *SubPlan }
+
+func (s fixedPlan) Name() string                                          { return "fixed" }
+func (s fixedPlan) PlanSubBatch(*State, []batch.TaskID) (*SubPlan, error) { return s.plan, nil }
+func (s fixedPlan) Evict(*State, []batch.TaskID)                          {}
+
+// TestMalformedPlansRejected pins that a plan naming a task twice, or
+// a staging entry naming an unknown file, node or kind, fails the run
+// with an error instead of running a task twice or panicking.
+func TestMalformedPlansRejected(t *testing.T) {
+	b := batch.New()
+	f := b.AddFile("f", 10*platform.MB, 0)
+	task := b.AddTask("t", 1, []batch.FileID{f})
+	p := twoNodeProblem(t, b)
+	one := []batch.TaskID{task}
+	node := map[batch.TaskID]int{task: 0}
+	for _, tc := range []struct {
+		name string
+		plan SubPlan
+		want string
+	}{
+		{"task listed twice", SubPlan{Tasks: []batch.TaskID{task, task}, Node: node}, "lists task 0 twice"},
+		{"pre-stage of an unknown file", SubPlan{Tasks: one, Node: node,
+			PreStage: []Staging{{File: 99, Dest: 0}}}, "unknown file 99"},
+		{"pre-stage onto an unknown node", SubPlan{Tasks: one, Node: node,
+			PreStage: []Staging{{File: f, Dest: 7}}}, "onto unknown node 7"},
+		{"pre-stage from an unknown replica", SubPlan{Tasks: one, Node: node,
+			PreStage: []Staging{{File: f, Dest: 1, Kind: Replica, Src: -2}}}, "from unknown node -2"},
+		{"pinned copy from an unknown replica", SubPlan{Tasks: one, Node: node, Pinned: true,
+			Staging: []Staging{{File: f, Dest: 0, Kind: Replica, Src: 5}}}, "from unknown node 5"},
+		{"pinned entry of an unknown kind", SubPlan{Tasks: one, Node: node, Pinned: true,
+			Staging: []Staging{{File: f, Dest: 0, Kind: 2}}}, "unknown kind 2"},
+	} {
+		res, err := RunWith(p, fixedPlan{&tc.plan}, RunOptions{Checked: true})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got result %+v, error %v; want an error containing %q", tc.name, res, err, tc.want)
+		}
+	}
+	// An unpinned plan's staging list is never read, so it is not checked.
+	ignored := SubPlan{Tasks: one, Node: node, Staging: []Staging{{File: 99, Dest: 7}}}
+	res, err := RunWith(p, fixedPlan{&ignored}, RunOptions{Checked: true})
+	if err != nil || res.TasksRun != 1 {
+		t.Fatalf("unpinned plan with a stray staging list: result %+v, error %v", res, err)
 	}
 }

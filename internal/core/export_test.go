@@ -75,8 +75,8 @@ type Booking struct {
 	Start, Dur float64
 }
 
-// ExecuteBooked is Execute with the given intervals reserved (as
-// faults) on the sub-batch's fresh timelines first.
+// ExecuteBooked is Execute with the given intervals reserved on the
+// sub-batch's fresh timelines first.
 func ExecuteBooked(st *State, plan *SubPlan, bookings []Booking) (*ExecStats, error) {
 	e, err := newExecutor(st, plan, false, nil, 0, nil)
 	if err != nil {
@@ -87,7 +87,7 @@ func ExecuteBooked(st *State, plan *SubPlan, bookings []Booking) (*ExecStats, er
 		if b.Storage {
 			tl = e.storageTL[b.Node]
 		}
-		tl.Reserve(b.Start, b.Dur, tagFault)
+		tl.Reserve(b.Start, b.Dur)
 	}
 	return e.run()
 }

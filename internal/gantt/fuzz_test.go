@@ -24,7 +24,7 @@ func FuzzTimelineReserve(f *testing.F) {
 			if s < after-OverlapEps {
 				t.Fatalf("EarliestSlot(%g, %g) returned %g before the requested time", after, dur, s)
 			}
-			tl.Reserve(s, dur, int32(i)) // panics on overlap — the fuzzer would catch it
+			tl.Reserve(s, dur) // panics on overlap — the fuzzer would catch it
 		}
 		sched := &Schedule{Compute: []*Timeline{tl}}
 		if v := sched.Validate(); len(v) != 0 {

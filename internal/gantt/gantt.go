@@ -23,11 +23,11 @@ import (
 	"sort"
 )
 
-// Interval is a half-open busy period [Start, End).
+// Interval is a half-open busy period [Start, End). It does not say
+// what the port was busy with: the decision journal's stage, exec and
+// burn events do.
 type Interval struct {
 	Start, End float64
-	// Tag identifies what the reservation is for (caller-defined).
-	Tag int32
 }
 
 // chunkTarget bounds chunk sizes: a chunk splits in half when it grows
@@ -187,13 +187,13 @@ func (t *Timeline) EarliestSlot(after, dur float64) float64 {
 // Reserve books [start, start+dur) on the timeline. It panics if the
 // slot overlaps an existing reservation: callers must only reserve
 // slots returned by EarliestSlot (or verified free).
-func (t *Timeline) Reserve(start, dur float64, tag int32) {
+func (t *Timeline) Reserve(start, dur float64) {
 	if dur < 0 {
 		panic("gantt: negative duration")
 	}
 	end := start + dur
 	if len(t.chunks) == 0 {
-		t.chunks = append(t.chunks, chunk{ivs: []Interval{{Start: start, End: end, Tag: tag}}})
+		t.chunks = append(t.chunks, chunk{ivs: []Interval{{Start: start, End: end}}})
 		t.recalcMetasFrom(0)
 		t.n++
 		t.flat = nil
@@ -235,7 +235,7 @@ func (t *Timeline) Reserve(start, dur float64, tag int32) {
 	c := &t.chunks[ci]
 	c.ivs = append(c.ivs, Interval{})
 	copy(c.ivs[k+1:], c.ivs[k:])
-	c.ivs[k] = Interval{Start: start, End: end, Tag: tag}
+	c.ivs[k] = Interval{Start: start, End: end}
 	if len(c.ivs) > 2*chunkTarget {
 		// Split in half; both halves re-summarize. The split shifts
 		// every later chunk one slot right, so the meta level is

@@ -11,8 +11,8 @@ func TestReserveAndSlots(t *testing.T) {
 	if got := tl.EarliestSlot(0, 5); got != 0 {
 		t.Fatalf("empty timeline slot = %v", got)
 	}
-	tl.Reserve(0, 5, 1)  // [0,5)
-	tl.Reserve(10, 5, 2) // [10,15)
+	tl.Reserve(0, 5)  // [0,5)
+	tl.Reserve(10, 5) // [10,15)
 	if got := tl.EarliestSlot(0, 5); got != 5 {
 		t.Fatalf("slot(0,5) = %v, want 5 (gap [5,10))", got)
 	}
@@ -32,19 +32,19 @@ func TestReserveAndSlots(t *testing.T) {
 
 func TestReserveOverlapPanics(t *testing.T) {
 	tl := NewTimeline()
-	tl.Reserve(0, 5, 1)
+	tl.Reserve(0, 5)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on overlapping reservation")
 		}
 	}()
-	tl.Reserve(4, 2, 2)
+	tl.Reserve(4, 2)
 }
 
 func TestAbuttingReservationsAllowed(t *testing.T) {
 	tl := NewTimeline()
-	tl.Reserve(0, 5, 1)
-	tl.Reserve(5, 5, 2) // must not panic
+	tl.Reserve(0, 5)
+	tl.Reserve(5, 5) // must not panic
 	if tl.Len() != 2 {
 		t.Fatal("expected two intervals")
 	}
@@ -52,7 +52,7 @@ func TestAbuttingReservationsAllowed(t *testing.T) {
 
 func TestOverlayDoesNotMutateBase(t *testing.T) {
 	tl := NewTimeline()
-	tl.Reserve(0, 5, 1)
+	tl.Reserve(0, 5)
 	ov := NewOverlay(tl)
 	ov.Add(5, 5)
 	if got := ov.EarliestSlot(0, 3); got != 10 {
@@ -65,8 +65,8 @@ func TestOverlayDoesNotMutateBase(t *testing.T) {
 
 func TestMultiSlot(t *testing.T) {
 	a, b := NewTimeline(), NewTimeline()
-	a.Reserve(0, 10, 1) // a busy [0,10)
-	b.Reserve(12, 4, 2) // b busy [12,16)
+	a.Reserve(0, 10) // a busy [0,10)
+	b.Reserve(12, 4) // b busy [12,16)
 	// Common slot of length 3 after 0: a free at 10, but b blocks
 	// [12,16): [10,13) collides, so 16.
 	if got := MultiSlot(0, 3, a, b); got != 16 {
@@ -90,7 +90,7 @@ func TestQuickNoOverlaps(t *testing.T) {
 			if s < after {
 				return false
 			}
-			tl.Reserve(s, dur, int32(i))
+			tl.Reserve(s, dur)
 		}
 		ivs := tl.Intervals()
 		for i := 1; i < len(ivs); i++ {
@@ -115,7 +115,7 @@ func TestQuickOverlayConsistent(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			dur := 1 + rng.Float64()*5
 			s := tl.EarliestSlot(rng.Float64()*30, dur)
-			tl.Reserve(s, dur, 0)
+			tl.Reserve(s, dur)
 		}
 		ov := NewOverlay(tl)
 		var added []Interval
@@ -144,8 +144,8 @@ func TestQuickOverlayConsistent(t *testing.T) {
 
 func TestMakespan(t *testing.T) {
 	a, b := NewTimeline(), NewTimeline()
-	a.Reserve(0, 3, 1)
-	b.Reserve(1, 7, 1)
+	a.Reserve(0, 3)
+	b.Reserve(1, 7)
 	if got := Makespan([]*Timeline{a, b}); got != 8 {
 		t.Fatalf("makespan = %v", got)
 	}

@@ -15,7 +15,7 @@ func buildRandom(rng *rand.Rand, n int, spread float64) (*Timeline, []Interval) 
 		after := rng.Float64() * spread
 		dur := rng.Float64()*3 + 0.01
 		s := tl.EarliestSlot(after, dur)
-		tl.Reserve(s, dur, int32(i))
+		tl.Reserve(s, dur)
 	}
 	return tl, append([]Interval(nil), tl.Intervals()...)
 }
@@ -90,9 +90,9 @@ func TestTimelineSortedAfterRandomOps(t *testing.T) {
 			s := tl.EarliestSlot(after, dur)
 			if data[i+1]%5 == 0 && dur > 0.25 {
 				// preempt-style partial booking, as the fault path does
-				tl.Reserve(s, dur/2, 3)
+				tl.Reserve(s, dur/2)
 			} else {
-				tl.Reserve(s, dur, int32(i))
+				tl.Reserve(s, dur)
 			}
 		}
 		ivs := tl.Intervals()
@@ -123,8 +123,8 @@ func TestTimelineSortedAfterRandomOps(t *testing.T) {
 // within OverlapEps must behave exactly like exact abutment.
 func TestOverlayEpsBoundaries(t *testing.T) {
 	tl := NewTimeline()
-	tl.Reserve(0, 5, 1)  // [0,5)
-	tl.Reserve(10, 5, 1) // [10,15)
+	tl.Reserve(0, 5)  // [0,5)
+	tl.Reserve(10, 5) // [10,15)
 	ov := NewOverlay(tl)
 
 	// Tentative interval eps-overlapping the committed [0,5): starts

@@ -71,7 +71,7 @@ func checkSlotMonotone(t *testing.T, data []byte) {
 	// Prefill A so searches cross chunk and meta-run summaries.
 	for i := 0; i < int(data[0])*8; i++ {
 		dur := rng.Float64()*3 + 0.01
-		a.Reserve(a.EarliestSlot(rng.Float64()*float64(data[0])*8, dur), dur, 1)
+		a.Reserve(a.EarliestSlot(rng.Float64()*float64(data[0])*8, dur), dur)
 	}
 	oa, ob := NewOverlay(a), NewOverlay(b)
 	type query struct{ after, dur float64 }
@@ -147,7 +147,7 @@ func tryReserve(tl *Timeline, s, dur float64) (ok bool) {
 			ok = false
 		}
 	}()
-	tl.Reserve(s, dur, 2)
+	tl.Reserve(s, dur)
 	return true
 }
 
@@ -178,7 +178,7 @@ func FuzzSlotMonotone(f *testing.F) {
 // inside the predecessor — earlier than before that reservation.
 func TestEndsSortedReportsSubEpsInversion(t *testing.T) {
 	tl := NewTimeline()
-	tl.Reserve(0, 10, 1)
+	tl.Reserve(0, 10)
 	after := 10 - 0.3*OverlapEps
 	if got := tl.EarliestSlot(after, 1); got != 10 {
 		t.Fatalf("slot behind [0,10) = %v, want 10", got)
@@ -186,7 +186,7 @@ func TestEndsSortedReportsSubEpsInversion(t *testing.T) {
 	if !tl.EndsSorted() {
 		t.Fatal("one interval reported unsorted")
 	}
-	tl.Reserve(10-0.5*OverlapEps, 0.1*OverlapEps, 3)
+	tl.Reserve(10-0.5*OverlapEps, 0.1*OverlapEps)
 	if tl.EndsSorted() {
 		t.Fatal("sub-eps reservation ending before its predecessor not reported")
 	}

@@ -7,22 +7,23 @@ import (
 )
 
 // The fault-tolerant runtime burns the started portion of a failed
-// transfer or a crash-killed execution as a preempted reservation
-// (tag 3) with no matching StageEvent — the file never arrived. These
-// tests pin that Validate accepts such recovery schedules while still
-// holding them to every invariant.
+// transfer or a crash-killed execution as a plain reservation with no
+// matching StageEvent or TaskEvent — the file never arrived, the task
+// never finished. (The decision journal records such a window as a
+// transfer_fail or burn fault; the Gantt chart only sees port time.)
+// These tests pin that Validate accepts such recovery schedules while
+// still holding them to every invariant.
 
 func TestValidateAcceptsPreemptedPartialReservations(t *testing.T) {
-	const tagFault = 3
 	storage := NewTimeline()
 	compute := NewTimeline()
 	// Attempt 1 dies at t=3 (preempted, no stage event); the retry
 	// [4, 8) succeeds and stages file 5.
-	storage.Reserve(0, 3, tagFault)
-	compute.Reserve(0, 3, tagFault)
-	storage.Reserve(4, 4, 1)
-	compute.Reserve(4, 4, 1)
-	compute.Reserve(8, 2, 2)
+	storage.Reserve(0, 3)
+	compute.Reserve(0, 3)
+	storage.Reserve(4, 4)
+	compute.Reserve(4, 4)
+	compute.Reserve(8, 2)
 	s := &Schedule{
 		Storage:  []*Timeline{storage},
 		Compute:  []*Timeline{compute},
@@ -41,8 +42,8 @@ func TestValidatePreemptedReservationsStillCheckOverlap(t *testing.T) {
 	// A preempted reservation gets no special exemption: overlapping
 	// the retry is still a port violation.
 	tl := NewTimelineFromIntervals([]Interval{
-		{Start: 0, End: 3, Tag: 3},
-		{Start: 2, End: 6, Tag: 1},
+		{Start: 0, End: 3},
+		{Start: 2, End: 6},
 	})
 	s := &Schedule{Compute: []*Timeline{tl}}
 	assertViolations(t, s.Validate(), "reservations overlap")
@@ -52,8 +53,8 @@ func TestValidateZeroLengthPreemption(t *testing.T) {
 	// A transfer killed at its start instant leaves a zero-length
 	// interval; that is sound (and distinct from a negative one).
 	tl := NewTimelineFromIntervals([]Interval{
-		{Start: 2, End: 2, Tag: 3},
-		{Start: 2, End: 5, Tag: 1},
+		{Start: 2, End: 2},
+		{Start: 2, End: 5},
 	})
 	s := &Schedule{Compute: []*Timeline{tl}}
 	if v := s.Validate(); len(v) != 0 {
@@ -63,9 +64,9 @@ func TestValidateZeroLengthPreemption(t *testing.T) {
 
 // TestValidateAcceptsCancelledSpeculativeReservations pins the port
 // footprint a speculative twin leaves behind when it loses the race.
-// Task 0's twin completed its input staging (ordinary tag-1
-// reservations plus a StageEvent) before starting to execute, so its
-// cancellation burns only the duplicate execution (tag 3, no
+// Task 0's twin completed its input staging (ordinary reservations
+// plus a StageEvent) before starting to execute, so its cancellation
+// burns only the duplicate execution (a reservation with no
 // TaskEvent). Task 1's twin was cancelled mid-staging, leaving
 // preempted partial reservations on both the storage and compute
 // ports with no StageEvent at all. Both shapes must validate — only
@@ -73,22 +74,22 @@ func TestValidateZeroLengthPreemption(t *testing.T) {
 func TestValidateAcceptsCancelledSpeculativeReservations(t *testing.T) {
 	fix := fixtureSchedule{
 		Storage: [][]Interval{{
-			{Start: 0, End: 4, Tag: 1},   // file 5 -> node 0 (winner)
-			{Start: 4, End: 6, Tag: 1},   // file 7 -> node 0 (winner)
-			{Start: 6, End: 8, Tag: 1},   // file 5 -> node 1 (twin of task 0, completed)
-			{Start: 20, End: 21, Tag: 3}, // file 7 -> node 1 (twin of task 1, cancelled mid-flight)
+			{Start: 0, End: 4},   // file 5 -> node 0 (winner)
+			{Start: 4, End: 6},   // file 7 -> node 0 (winner)
+			{Start: 6, End: 8},   // file 5 -> node 1 (twin of task 0, completed)
+			{Start: 20, End: 21}, // file 7 -> node 1 (twin of task 1, cancelled mid-flight)
 		}},
 		Compute: [][]Interval{
 			{
-				{Start: 0, End: 4, Tag: 1},
-				{Start: 4, End: 6, Tag: 1},
-				{Start: 6, End: 16, Tag: 2},  // task 0 primary wins at 16
-				{Start: 16, End: 22, Tag: 2}, // task 1 primary wins at 22
+				{Start: 0, End: 4},
+				{Start: 4, End: 6},
+				{Start: 6, End: 16},  // task 0 primary wins at 16
+				{Start: 16, End: 22}, // task 1 primary wins at 22
 			},
 			{
-				{Start: 6, End: 8, Tag: 1},   // twin of task 0 stages its input
-				{Start: 8, End: 16, Tag: 3},  // twin of task 0 execution, burnt at the primary's finish
-				{Start: 20, End: 21, Tag: 3}, // twin of task 1 staging, burnt mid-transfer
+				{Start: 6, End: 8},   // twin of task 0 stages its input
+				{Start: 8, End: 16},  // twin of task 0 execution, burnt at the primary's finish
+				{Start: 20, End: 21}, // twin of task 1 staging, burnt mid-transfer
 			},
 		},
 		Stages: []StageEvent{
@@ -111,10 +112,10 @@ func TestValidateAcceptsCancelledSpeculativeReservations(t *testing.T) {
 	// sliding it under a committed staging is still an overlap.
 	broken := fix
 	broken.Storage = [][]Interval{{
-		{Start: 0, End: 4, Tag: 1},
-		{Start: 4, End: 6, Tag: 1},
-		{Start: 4.5, End: 5.5, Tag: 3},
-		{Start: 6, End: 8, Tag: 1},
+		{Start: 0, End: 4},
+		{Start: 4, End: 6},
+		{Start: 4.5, End: 5.5},
+		{Start: 6, End: 8},
 	}}
 	assertViolations(t, broken.schedule().Validate(), "reservations overlap")
 }
@@ -183,15 +184,12 @@ func TestCrashRecoveryFixture(t *testing.T) {
 		t.Fatal("fixture drifted: crashed node no longer rejoins with an empty cache")
 	}
 	// The fixture carries one speculated task: task 2 commits on the
-	// surviving node while its cancelled twin leaves a tag-3 burn (and
-	// no TaskEvent) on the rebooted one.
+	// surviving node while its cancelled twin leaves a burned
+	// reservation (and no TaskEvent) on the rebooted one.
 	if len(reboot.Tasks) != 2 {
 		t.Fatalf("fixture drifted: sub-batch 1 has %d committed tasks, want 2", len(reboot.Tasks))
 	}
 	twinBurn := reboot.Compute[1][len(reboot.Compute[1])-1]
-	if twinBurn.Tag != 3 {
-		t.Fatalf("fixture drifted: cancelled twin reservation has tag %d, want 3 (preempted)", twinBurn.Tag)
-	}
 	for _, te := range reboot.Tasks {
 		if te.Node == 1 && te.Start < twinBurn.End && twinBurn.Start < te.End {
 			t.Fatalf("fixture drifted: task %d committed inside the cancelled twin's burn", te.Task)

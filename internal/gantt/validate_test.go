@@ -21,9 +21,9 @@ func assertViolations(t *testing.T, got []string, want ...string) {
 func TestValidateCleanSchedule(t *testing.T) {
 	storage := NewTimeline()
 	compute := NewTimeline()
-	storage.Reserve(0, 5, 1)
-	compute.Reserve(0, 5, 1)  // transfer of file 7
-	compute.Reserve(5, 10, 2) // execution
+	storage.Reserve(0, 5)
+	compute.Reserve(0, 5)  // transfer of file 7
+	compute.Reserve(5, 10) // execution
 	s := &Schedule{
 		Storage:  []*Timeline{storage},
 		Compute:  []*Timeline{compute},
@@ -128,7 +128,7 @@ func TestExecutedSchedulesValidate(t *testing.T) {
 	durs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
 	for i, d := range durs {
 		s := tl.EarliestSlot(float64(i%3), d)
-		tl.Reserve(s, d, int32(i))
+		tl.Reserve(s, d)
 	}
 	s := &Schedule{Compute: []*Timeline{tl}}
 	if v := s.Validate(); len(v) != 0 {
