@@ -611,7 +611,7 @@ func (v *schedEnv) bestSource(f batch.FileID, dst int) srcChoice {
 			}
 			continue
 		}
-		rp := e.ports(f, j, dst)
+		rp := e.ports(f, j, dst) // j, then dst (whose searcher is hoisted)
 		srcRes := v.searcher(rp.tl[0])
 		sorted = sorted && srcRes.EndsSorted()
 		rstart := v.multiSlot(at, rdur, srcRes, dstRes)
