@@ -120,10 +120,10 @@ bench:
 
 # The DESIGN §14 scaling sweep: task decades 100 -> 100k over the
 # IMAGE workload under MinMin and JobDataPresent — full-pipeline arms
-# (BenchmarkScale) and plan-only optimized-vs-naive arms
-# (BenchmarkScalePlan) — parsed into BENCH_scale.json. One iteration
-# per tier: the 100k JDP pipeline takes minutes and the naive 10k arms
-# tens of seconds, so -benchtime=1x is the point, not a shortcut.
+# (BenchmarkScale) and plan-only arms (BenchmarkScalePlan) — parsed
+# into BENCH_scale.json. One iteration per tier: the 100k JDP pipeline
+# takes minutes and the 100k plans tens of seconds, so -benchtime=1x is
+# the point, not a shortcut.
 bench-scale:
 	$(GO) test -run='^$$' -bench='^BenchmarkScale(Plan)?$$' -benchmem -benchtime=1x -timeout=120m \
 		| $(GO) run ./cmd/benchjson -o BENCH_scale.json

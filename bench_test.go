@@ -270,7 +270,7 @@ func BenchmarkAblationRefinement(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var cost int64
 			for i := 0; i < b.N; i++ {
-				part, err := hypergraph.PartitionKWayOpt(h, 8, hypergraph.KWayOptions{Eps: 0.05, Seed: int64(i), NoRefine: mode.noRefine})
+				part, err := hypergraph.PartitionKWay(h, 8, hypergraph.KWayOptions{Eps: 0.05, Seed: int64(i), NoRefine: mode.noRefine})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -353,7 +353,7 @@ func BenchmarkKWayPartition(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := hypergraph.PartitionKWayOpt(h, 16, hypergraph.KWayOptions{Eps: 0.1, Seed: 9, Workers: w}); err != nil {
+				if _, err := hypergraph.PartitionKWay(h, 16, hypergraph.KWayOptions{Eps: 0.1, Seed: 9, Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

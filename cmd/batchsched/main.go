@@ -34,9 +34,10 @@
 //
 // -workers sets the parallelism of the scheduler's solver (the IP
 // branch-and-bound portfolio, the hypergraph partitioner); 0 uses
-// every CPU, 1 forces the sequential solver. The schedule for a fixed
-// seed does not depend on the worker count (for the IP scheduler,
-// whenever its solves finish within budget).
+// every CPU, 1 runs the solver on one worker, and a negative count is
+// a usage error. The schedule for a fixed seed does not depend on the
+// worker count (for the IP scheduler, whenever its solves finish within
+// budget).
 //
 // -obs-trace records every pipeline phase and simulated reservation
 // as Chrome trace-event JSON (open in Perfetto: ui.perfetto.dev);
@@ -94,7 +95,7 @@ func main() {
 	ipBudget := flag.Duration("ip-budget", 20*time.Second, "time budget per IP solve")
 	seed := flag.Int64("seed", 1, "workload seed")
 	verbose := flag.Bool("v", false, "print workload statistics")
-	workers := flag.Int("workers", 0, "solver parallelism (0 = all CPUs, 1 = sequential)")
+	workers := flag.Int("workers", 0, "solver parallelism (0 = all CPUs, 1 = one worker)")
 	faultSpec := flag.String("faults", "", "failure scenario: none, mild, harsh, or key=value pairs (e.g. harsh,seed=7)")
 	specSpec := flag.String("speculate", "", "speculation policy: never, fixed-factor[:F], or single-fork[:Q] (needs -faults)")
 	obsTrace := flag.String("obs-trace", "", "write a Chrome trace-event JSON of the run (view in Perfetto)")
@@ -107,6 +108,11 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	runtimeTrace := flag.String("trace", "", "write a Go runtime trace to this file")
 	flag.Parse()
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "-workers %d: must be ≥ 0 (0 = all CPUs)\n", *workers)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	stopProf, err := obs.Profiles{CPU: *cpuProfile, Mem: *memProfile, Runtime: *runtimeTrace}.Start()
 	if err != nil {

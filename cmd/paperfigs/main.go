@@ -20,9 +20,10 @@
 // chaos ignores both and sweeps its own matrix.
 //
 // -workers fans the independent cells of each figure (and each
-// scheduler's internal solver) across N goroutines; 0 uses every CPU
-// and 1 reproduces the sequential run. Rows are identical for a given
-// seed regardless of the worker count.
+// scheduler's internal solver) across N goroutines; 0 uses every CPU,
+// 1 reproduces the sequential run, and a negative count is a usage
+// error. Rows are identical for a given seed regardless of the worker
+// count.
 //
 // -obs-trace records every cell's pipeline phases and simulated
 // reservations into one Chrome trace-event JSON (open in Perfetto);
@@ -57,7 +58,7 @@ func main() {
 	skipIP := flag.Bool("skip-ip", false, "omit the IP scheduler")
 	seed := flag.Int64("seed", 1, "workload generation seed")
 	csvDir := flag.String("csv", "", "also write one CSV per table into this directory")
-	workers := flag.Int("workers", 0, "parallel workers for figure cells and solvers (0 = all CPUs, 1 = sequential)")
+	workers := flag.Int("workers", 0, "parallel workers for figure cells and solvers (0 = all CPUs, 1 = one worker)")
 	faultSpec := flag.String("faults", "", "failure scenario for figure cells: none, mild, harsh, or key=value pairs")
 	specSpec := flag.String("speculate", "", "speculation policy for figure cells: never, fixed-factor[:F], or single-fork[:Q] (needs -faults; chaos sweeps its own)")
 	obsTrace := flag.String("obs-trace", "", "write a Chrome trace-event JSON of all cells (view in Perfetto)")
@@ -67,6 +68,11 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	runtimeTrace := flag.String("trace", "", "write a Go runtime trace to this file")
 	flag.Parse()
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "-workers %d: must be ≥ 0 (0 = all CPUs)\n", *workers)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	stopProf, err := obs.Profiles{CPU: *cpuProfile, Mem: *memProfile, Runtime: *runtimeTrace}.Start()
 	if err != nil {

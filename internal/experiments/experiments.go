@@ -45,8 +45,9 @@ type Options struct {
 	// Workers bounds the parallelism of a figure run: the independent
 	// (row × scheduler) cells of each figure fan out across this many
 	// goroutines, and each scheduler's own solver (IP portfolio,
-	// hypergraph partitioner) inherits the same setting. 0 means
-	// runtime.GOMAXPROCS(0); 1 reproduces the fully sequential run.
+	// hypergraph partitioner) inherits the same setting. 0 (or any
+	// negative count) means runtime.GOMAXPROCS(0); 1 reproduces the
+	// fully sequential run.
 	// Table rows are merged in fixed order and every cell re-derives
 	// its inputs from Seed, so Workers never changes the rows.
 	Workers int

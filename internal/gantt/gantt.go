@@ -13,8 +13,8 @@
 // inserts cost O(√n)-ish instead of O(n) on the simulator's inner
 // loop. The observable behaviour (results, panics, float arithmetic of
 // the fit tests) is identical to the flat sorted-slice implementation,
-// which is kept in this package as `earliestSlot` and pinned against
-// the index by property tests and the fuzz corpus.
+// the test-only `earliestSlot` in index_test.go, which pins the index
+// through property tests and the fuzz corpus.
 package gantt
 
 import (
@@ -290,10 +290,11 @@ const OverlapEps = 1e-9
 
 // slotSearch finds the first gap of length dur at or after `after`,
 // merge-scanning the timeline's intervals with the (small, sorted)
-// extra list. It is the chunk-indexed equivalent of earliestSlot: the
-// exact in-chunk scan performs the same float comparisons in the same
-// order; chunks are skipped only when the gap summary proves (with a
-// conservative slack for summary rounding) that no fit exists inside.
+// extra list. It is the chunk-indexed equivalent of the test-only
+// reference earliestSlot (index_test.go): the exact in-chunk scan
+// performs the same float comparisons in the same order; chunks are
+// skipped only when the gap summary proves (with a conservative slack
+// for summary rounding) that no fit exists inside.
 func (t *Timeline) slotSearch(extra []Interval, after, dur float64) float64 {
 	if dur < 0 {
 		panic("gantt: negative duration")
@@ -427,40 +428,6 @@ func (o *Overlay) Add(start, dur float64) {
 // considering both committed and tentative reservations.
 func (o *Overlay) EarliestSlot(after, dur float64) float64 {
 	return o.base.slotSearch(o.extra, after, dur)
-}
-
-// earliestSlot merge-scans two sorted interval lists for the first gap
-// of length dur starting at or after `after`. It is the flat reference
-// implementation the bucketed slotSearch must agree with byte-for-byte;
-// tests and the bench-scale naive arm exercise it, production paths go
-// through the index.
-func earliestSlot(a, b []Interval, after, dur float64) float64 {
-	if dur < 0 {
-		panic("gantt: negative duration")
-	}
-	t := after
-	i := sort.Search(len(a), func(i int) bool { return a[i].End > after })
-	j := sort.Search(len(b), func(j int) bool { return b[j].End > after })
-	for {
-		// next blocking interval: the earlier-starting of a[i], b[j]
-		var next *Interval
-		if i < len(a) && (j >= len(b) || a[i].Start <= b[j].Start) {
-			next = &a[i]
-		} else if j < len(b) {
-			next = &b[j]
-		}
-		if next == nil || t+dur <= next.Start+OverlapEps {
-			return t
-		}
-		if next.End > t {
-			t = next.End
-		}
-		if i < len(a) && next == &a[i] {
-			i++
-		} else {
-			j++
-		}
-	}
 }
 
 // MultiSlot finds the earliest common start ≥ after at which a

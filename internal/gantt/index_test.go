@@ -2,9 +2,43 @@ package gantt
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// earliestSlot merge-scans two sorted interval lists for the first gap
+// of length dur starting at or after `after`. It is the flat reference
+// implementation the bucketed slotSearch must agree with byte-for-byte;
+// production paths go through the index.
+func earliestSlot(a, b []Interval, after, dur float64) float64 {
+	if dur < 0 {
+		panic("gantt: negative duration")
+	}
+	t := after
+	i := sort.Search(len(a), func(i int) bool { return a[i].End > after })
+	j := sort.Search(len(b), func(j int) bool { return b[j].End > after })
+	for {
+		// next blocking interval: the earlier-starting of a[i], b[j]
+		var next *Interval
+		if i < len(a) && (j >= len(b) || a[i].Start <= b[j].Start) {
+			next = &a[i]
+		} else if j < len(b) {
+			next = &b[j]
+		}
+		if next == nil || t+dur <= next.Start+OverlapEps {
+			return t
+		}
+		if next.End > t {
+			t = next.End
+		}
+		if i < len(a) && next == &a[i] {
+			i++
+		} else {
+			j++
+		}
+	}
+}
 
 // buildRandom reserves n random slots (via EarliestSlot, so the result
 // is always valid) and returns the timeline plus its flat interval

@@ -8,27 +8,7 @@ import (
 	"repro/internal/obs"
 )
 
-// PartitionBINW computes a Bounded Incident Net Weight partition
-// (§5.1): the number of parts is not predetermined; instead every
-// part's incident net weight — the summed weights of all nets touching
-// any of its vertices, including absorbed size-1 net weights — must
-// not exceed bound. Parts are produced by recursive bisection
-// (balancing incident weight, minimizing cut) until each side fits;
-// minimizing the connectivity-1 cost simultaneously keeps the part
-// count low, as the paper notes.
-//
-// A single vertex whose own incident weight exceeds bound is returned
-// as a singleton part (the caller's problem guarantees — one task's
-// files fit on the cluster — make this a can't-happen guard rather
-// than a supported case).
-//
-// The result maps each vertex to a part id in 0..numParts−1, ordered
-// so that part ids are dense.
-func PartitionBINW(h *Hypergraph, bound int64, eps float64, seed int64) ([]int, int, error) {
-	return PartitionBINWOpt(h, bound, BINWOptions{Eps: eps, Seed: seed})
-}
-
-// BINWOptions tunes PartitionBINWOpt.
+// BINWOptions tunes PartitionBINW.
 type BINWOptions struct {
 	// Eps is the per-bisection imbalance tolerance.
 	Eps float64
@@ -37,7 +17,7 @@ type BINWOptions struct {
 	// independent of Workers.
 	Seed int64
 	// Workers bounds the goroutines used for the independent sub-
-	// bisections (0 = GOMAXPROCS, 1 = sequential).
+	// bisections (≤ 0 = GOMAXPROCS, 1 = sequential).
 	Workers int
 	// Trace, when non-nil, receives one span per multilevel bisection
 	// (coarsen/initial/refine instants with cut values). Observability
@@ -55,8 +35,23 @@ type binwLeaf struct {
 	vids []int32
 }
 
-// PartitionBINWOpt is PartitionBINW with explicit options.
-func PartitionBINWOpt(h *Hypergraph, bound int64, opt BINWOptions) ([]int, int, error) {
+// PartitionBINW computes a Bounded Incident Net Weight partition
+// (§5.1): the number of parts is not predetermined; instead every
+// part's incident net weight — the summed weights of all nets touching
+// any of its vertices, including absorbed size-1 net weights — must
+// not exceed bound. Parts are produced by recursive bisection
+// (balancing incident weight, minimizing cut) until each side fits;
+// minimizing the connectivity-1 cost simultaneously keeps the part
+// count low, as the paper notes.
+//
+// A single vertex whose own incident weight exceeds bound is returned
+// as a singleton part (the caller's problem guarantees — one task's
+// files fit on the cluster — make this a can't-happen guard rather
+// than a supported case).
+//
+// The result maps each vertex to a part id in 0..numParts−1, ordered
+// so that part ids are dense.
+func PartitionBINW(h *Hypergraph, bound int64, opt BINWOptions) ([]int, int, error) {
 	if bound <= 0 {
 		return nil, 0, fmt.Errorf("hypergraph: BINW bound must be positive, got %d", bound)
 	}

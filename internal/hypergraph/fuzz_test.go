@@ -54,9 +54,9 @@ func FuzzPartitionKWay(f *testing.F) {
 		if h == nil {
 			t.Skip()
 		}
-		part, err := PartitionKWayOpt(h, k, KWayOptions{Eps: 0.1, Seed: seed, Workers: 1})
+		part, err := PartitionKWay(h, k, KWayOptions{Eps: 0.1, Seed: seed, Workers: 1})
 		if err != nil {
-			t.Fatalf("PartitionKWayOpt: %v", err)
+			t.Fatalf("PartitionKWay: %v", err)
 		}
 		if len(part) != h.NumV {
 			t.Fatalf("partition length %d != %d vertices", len(part), h.NumV)
@@ -68,9 +68,9 @@ func FuzzPartitionKWay(f *testing.F) {
 		}
 		// Determinism: the partition is documented to be a pure function
 		// of (h, k, options) regardless of Workers.
-		par, err := PartitionKWayOpt(h, k, KWayOptions{Eps: 0.1, Seed: seed, Workers: 4})
+		par, err := PartitionKWay(h, k, KWayOptions{Eps: 0.1, Seed: seed, Workers: 4})
 		if err != nil {
-			t.Fatalf("PartitionKWayOpt workers=4: %v", err)
+			t.Fatalf("PartitionKWay workers=4: %v", err)
 		}
 		for v := range part {
 			if part[v] != par[v] {
@@ -161,9 +161,9 @@ func FuzzPartitionBINW(f *testing.F) {
 		if h == nil {
 			t.Skip()
 		}
-		part, np, err := PartitionBINWOpt(h, bound, BINWOptions{Eps: 0.2, Seed: seed, Workers: 1})
+		part, np, err := PartitionBINW(h, bound, BINWOptions{Eps: 0.2, Seed: seed, Workers: 1})
 		if err != nil {
-			t.Fatalf("PartitionBINWOpt: %v", err)
+			t.Fatalf("PartitionBINW: %v", err)
 		}
 		if len(part) != h.NumV {
 			t.Fatalf("partition length %d != %d vertices", len(part), h.NumV)
@@ -185,9 +185,9 @@ func FuzzPartitionBINW(f *testing.F) {
 				t.Fatalf("part %d (%d vertices) has incident weight %d > bound %d", p, size[p], w, bound)
 			}
 		}
-		par, npar, err := PartitionBINWOpt(h, bound, BINWOptions{Eps: 0.2, Seed: seed, Workers: 4})
+		par, npar, err := PartitionBINW(h, bound, BINWOptions{Eps: 0.2, Seed: seed, Workers: 4})
 		if err != nil {
-			t.Fatalf("PartitionBINWOpt workers=4: %v", err)
+			t.Fatalf("PartitionBINW workers=4: %v", err)
 		}
 		if npar != np {
 			t.Fatalf("worker count changed the part count: %d vs %d", np, npar)

@@ -62,13 +62,13 @@ func goldenDigest(t *testing.T, workers int) string {
 		h := goldenHypergraph(rng)
 		k := 2 + rng.Intn(16)
 		eps := epsChoices[rng.Intn(len(epsChoices))]
-		part, err := PartitionKWayOpt(h, k, KWayOptions{Eps: eps, Seed: int64(i), NoRefine: i%5 == 4, Workers: workers})
+		part, err := PartitionKWay(h, k, KWayOptions{Eps: eps, Seed: int64(i), NoRefine: i%5 == 4, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		hashLabels(d, 2*i, k, part)
 		bound := max(incidentTotal(h)/int64(2+rng.Intn(6)), 1)
-		part, np, err := PartitionBINWOpt(h, bound, BINWOptions{Eps: 0.2, Seed: int64(i), Workers: workers})
+		part, np, err := PartitionBINW(h, bound, BINWOptions{Eps: 0.2, Seed: int64(i), Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

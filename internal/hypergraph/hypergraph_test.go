@@ -141,7 +141,7 @@ func TestPartitionKWayIsPartition(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		h := randomHypergraph(rng, 50+rng.Intn(100), 80+rng.Intn(150))
 		k := 2 + rng.Intn(6)
-		part, err := PartitionKWay(h, k, 0.1, int64(trial))
+		part, err := PartitionKWay(h, k, KWayOptions{Eps: 0.1, Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestPartitionKWayBalance(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	h := randomHypergraph(rng, 200, 300)
 	k := 4
-	part, err := PartitionKWay(h, k, 0.10, 7)
+	part, err := PartitionKWay(h, k, KWayOptions{Eps: 0.10, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestPartitionKWayBeatsRandomCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := PartitionKWay(h, clusters, 0.15, 11)
+	part, err := PartitionKWay(h, clusters, KWayOptions{Eps: 0.15, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestBINWBoundRespected(t *testing.T) {
 		h := randomHypergraph(rng, 60+rng.Intn(60), 100+rng.Intn(100))
 		total := incidentTotal(h)
 		bound := total / int64(3+rng.Intn(3))
-		part, np, err := PartitionBINW(h, bound, 0.2, int64(trial))
+		part, np, err := PartitionBINW(h, bound, BINWOptions{Eps: 0.2, Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func TestBINWBoundRespected(t *testing.T) {
 func TestBINWSinglePartWhenFits(t *testing.T) {
 	h := buildSample(t)
 	bound := incidentTotal(h) + 1
-	part, np, err := PartitionBINW(h, bound, 0.2, 1)
+	part, np, err := PartitionBINW(h, bound, BINWOptions{Eps: 0.2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestQuickPartitionValid(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHypergraph(rng, 20+rng.Intn(40), 30+rng.Intn(60))
 		k := 2 + rng.Intn(4)
-		part, err := PartitionKWay(h, k, 0.2, seed)
+		part, err := PartitionKWay(h, k, KWayOptions{Eps: 0.2, Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -360,14 +360,14 @@ func TestPartitionRejectsBadEps(t *testing.T) {
 		{"huge", 1e300, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			part, err := PartitionKWayOpt(h, 4, KWayOptions{Eps: tc.eps, Seed: 1})
+			part, err := PartitionKWay(h, 4, KWayOptions{Eps: tc.eps, Seed: 1})
 			if (err == nil) != tc.ok {
 				t.Fatalf("K-way: err = %v, want ok=%v", err, tc.ok)
 			}
 			if tc.ok && len(part) != h.NumV {
 				t.Fatalf("K-way: %d labels for %d vertices", len(part), h.NumV)
 			}
-			part, np, err := PartitionBINWOpt(h, bound, BINWOptions{Eps: tc.eps, Seed: 1})
+			part, np, err := PartitionBINW(h, bound, BINWOptions{Eps: tc.eps, Seed: 1})
 			if (err == nil) != tc.ok {
 				t.Fatalf("BINW: err = %v, want ok=%v", err, tc.ok)
 			}

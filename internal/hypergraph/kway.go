@@ -6,15 +6,7 @@ import (
 	"repro/internal/obs"
 )
 
-// PartitionKWay divides h into k parts minimizing the connectivity-1
-// cost while keeping each part's vertex weight within (1+eps) of the
-// proportional target, via recursive bisection with net splitting.
-// The returned slice maps each vertex to its part (0..k−1).
-func PartitionKWay(h *Hypergraph, k int, eps float64, seed int64) ([]int, error) {
-	return PartitionKWayOpt(h, k, KWayOptions{Eps: eps, Seed: seed})
-}
-
-// KWayOptions tunes PartitionKWayOpt.
+// KWayOptions tunes PartitionKWay.
 type KWayOptions struct {
 	// Eps is the balance tolerance.
 	Eps float64
@@ -27,7 +19,7 @@ type KWayOptions struct {
 	// only), for the ablation bench.
 	NoRefine bool
 	// Workers bounds the goroutines used for the independent left and
-	// right sub-bisections of the recursion (0 = GOMAXPROCS, 1 =
+	// right sub-bisections of the recursion (≤ 0 = GOMAXPROCS, 1 =
 	// sequential).
 	Workers int
 	// Trace, when non-nil, receives one span per multilevel bisection
@@ -36,8 +28,11 @@ type KWayOptions struct {
 	Trace obs.Tracer
 }
 
-// PartitionKWayOpt is PartitionKWay with explicit options.
-func PartitionKWayOpt(h *Hypergraph, k int, opt KWayOptions) ([]int, error) {
+// PartitionKWay divides h into k parts minimizing the connectivity-1
+// cost while keeping each part's vertex weight within (1+opt.Eps) of
+// the proportional target, via recursive bisection with net splitting.
+// The returned slice maps each vertex to its part (0..k−1).
+func PartitionKWay(h *Hypergraph, k int, opt KWayOptions) ([]int, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("hypergraph: k must be positive, got %d", k)
 	}

@@ -14,7 +14,7 @@ func TestKWayWorkersInvariant(t *testing.T) {
 		h := randomHypergraph(rand.New(rand.NewSource(seed)), 300, 500)
 		var ref []int
 		for _, workers := range []int{1, 2, 4, 8} {
-			part, err := PartitionKWayOpt(h, 8, KWayOptions{Eps: 0.1, Seed: seed, Workers: workers})
+			part, err := PartitionKWay(h, 8, KWayOptions{Eps: 0.1, Seed: seed, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,7 +41,7 @@ func TestBINWWorkersInvariant(t *testing.T) {
 		var ref []int
 		refParts := 0
 		for _, workers := range []int{1, 2, 4} {
-			part, np, err := PartitionBINWOpt(h, bound, BINWOptions{Eps: 0.2, Seed: seed, Workers: workers})
+			part, np, err := PartitionBINW(h, bound, BINWOptions{Eps: 0.2, Seed: seed, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,11 +65,11 @@ func TestBINWWorkersInvariant(t *testing.T) {
 // state: two runs with identical options must agree exactly.
 func TestKWayRepeatedRunsIdentical(t *testing.T) {
 	h := randomHypergraph(rand.New(rand.NewSource(9)), 400, 700)
-	a, err := PartitionKWayOpt(h, 16, KWayOptions{Eps: 0.1, Seed: 42, Workers: 4})
+	a, err := PartitionKWay(h, 16, KWayOptions{Eps: 0.1, Seed: 42, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PartitionKWayOpt(h, 16, KWayOptions{Eps: 0.1, Seed: 42, Workers: 4})
+	b, err := PartitionKWay(h, 16, KWayOptions{Eps: 0.1, Seed: 42, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,11 +123,11 @@ type Options struct {
 	// (0 = default 100000).
 	NodeLimit int
 	// Workers is the number of concurrent branch-and-bound dives the
-	// portfolio runs (0 = runtime.GOMAXPROCS(0), 1 = the sequential
-	// solver). Worker 0 follows the canonical most-fractional dive;
-	// the others use deterministically jittered branching orders, all
-	// sharing one incumbent bound, so within the same budget the
-	// portfolio's incumbent is never worse than the sequential one.
+	// portfolio runs (≤ 0 = runtime.GOMAXPROCS(0)). Worker 0 follows
+	// the canonical most-fractional dive; the others use
+	// deterministically jittered branching orders, all sharing one
+	// incumbent bound, so within the same budget the portfolio's
+	// incumbent is never worse than a one-worker solve's.
 	Workers int
 	// WarmStart, when non-nil, is a feasible assignment used as the
 	// initial incumbent (checked; ignored if infeasible).
@@ -149,7 +149,7 @@ func (o Options) withDefaults() Options {
 	if o.IntTol == 0 {
 		o.IntTol = 1e-6
 	}
-	if o.Workers == 0 {
+	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
@@ -166,34 +166,6 @@ type Solution struct {
 	// Gap is |Obj−Bound| / max(1,|Obj|); zero when proven optimal.
 	Gap   float64
 	Nodes int
-}
-
-// Solve runs branch and bound: a single depth-first dive when
-// Workers=1, otherwise a multi-start portfolio of concurrent dives
-// (see portfolio.go).
-func (m *Model) Solve(opt Options) (*Solution, error) {
-	opt = opt.withDefaults()
-	if opt.Workers > 1 {
-		return m.solvePortfolio(opt)
-	}
-	lp, err := m.toLP()
-	if err != nil {
-		return nil, err
-	}
-	tr := obs.OrNop(opt.Trace)
-	//schedlint:allow nowallclock,tracepurity anchors Options.TimeLimit, the documented wall-clock budget (DESIGN §7)
-	s := &search{m: m, lp: lp, opt: opt, start: time.Now(), bestObj: math.Inf(1), tr: tr}
-	if opt.WarmStart != nil {
-		if obj, ok := m.CheckFeasible(opt.WarmStart, 1e-6); ok {
-			s.setIncumbent(opt.WarmStart, s.internalObj(obj))
-		}
-	}
-	tr.NameTrack(obs.DomainReal, obs.SolverTrack(0), "mip worker 0")
-	end := tr.Span(obs.SolverTrack(0), "solver", "b&b dive",
-		obs.A("vars", len(m.obj)), obs.A("workers", 1))
-	s.run()
-	end(obs.A("nodes", s.nodes), obs.A("hit_limit", s.hitLimit))
-	return s.solution(), nil
 }
 
 // internalObj converts a model-direction objective to the internal

@@ -20,9 +20,10 @@ import (
 // incumbent *vectors* private; the final merge scans workers in index
 // order and takes the strictly best objective, so the reported
 // solution does not depend on goroutine interleaving. Worker 0 runs
-// the exact canonical dive of the sequential solver, which makes the
-// portfolio's incumbent never worse than the sequential one under the
-// same limits — the extra workers can only tighten it.
+// the canonical most-fractional dive, which is all a one-worker solve
+// runs, so the portfolio's incumbent is never worse than the
+// one-worker incumbent under the same limits — the extra workers can
+// only tighten it.
 
 // sharedBound is a monotonically decreasing float64 shared across
 // portfolio workers (the best incumbent objective found so far, in the
@@ -65,9 +66,10 @@ func cloneLPBounds(lp *simplex.LP) *simplex.LP {
 	return &c
 }
 
-// solvePortfolio runs opt.Workers concurrent dives and merges their
-// results deterministically.
-func (m *Model) solvePortfolio(opt Options) (*Solution, error) {
+// Solve runs branch and bound as a portfolio of opt.Workers concurrent
+// depth-first dives and merges their results deterministically.
+func (m *Model) Solve(opt Options) (*Solution, error) {
+	opt = opt.withDefaults()
 	lp0, err := m.toLP()
 	if err != nil {
 		return nil, err

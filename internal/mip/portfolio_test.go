@@ -3,6 +3,7 @@ package mip
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -54,9 +55,9 @@ func randomAssignment(seed int64, tasks, nodes int) *Model {
 	return m
 }
 
-// TestPortfolioMatchesSequentialOptimum proves the portfolio reaches
-// the same optimum as the sequential solver when both run to
-// completion, on a fixed instance set.
+// TestPortfolioMatchesSequentialOptimum proves a four-worker portfolio
+// reaches the same optimum as a one-worker solve (worker 0's dive
+// alone) when both run to completion, on a fixed instance set.
 func TestPortfolioMatchesSequentialOptimum(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		m := randomKnapsack(seed, 24)
@@ -83,9 +84,9 @@ func TestPortfolioMatchesSequentialOptimum(t *testing.T) {
 }
 
 // TestPortfolioNeverWorseWithinBudget proves the parallel solve's
-// incumbent is never worse than the sequential one under the same
-// deterministic node budget: worker 0 runs the exact sequential dive,
-// so the merged incumbent can only improve on it.
+// incumbent is never worse than the one-worker one under the same
+// deterministic node budget: worker 0 runs the one-worker dive
+// exactly, so the merged incumbent can only improve on it.
 func TestPortfolioNeverWorseWithinBudget(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		for _, build := range []func() *Model{
@@ -106,7 +107,7 @@ func TestPortfolioNeverWorseWithinBudget(t *testing.T) {
 				continue // nothing to compare against
 			}
 			if par.Status == NoSolution {
-				t.Fatalf("seed %d: portfolio found nothing where sequential found %v", seed, seq.Obj)
+				t.Fatalf("seed %d: portfolio found nothing where one worker found %v", seed, seq.Obj)
 			}
 			// Internal direction is minimization for these models except
 			// the maximize knapsack; compare in model direction.
@@ -115,7 +116,7 @@ func TestPortfolioNeverWorseWithinBudget(t *testing.T) {
 				worse = par.Obj > seq.Obj+1e-9
 			}
 			if worse {
-				t.Errorf("seed %d: portfolio incumbent %v worse than sequential %v", seed, par.Obj, seq.Obj)
+				t.Errorf("seed %d: portfolio incumbent %v worse than one worker's %v", seed, par.Obj, seq.Obj)
 			}
 		}
 	}
@@ -160,5 +161,29 @@ func TestPortfolioWarmStartRespected(t *testing.T) {
 	}
 	if sol.Obj < -1e-9 {
 		t.Fatalf("warm objective %v, want ≥ 0", sol.Obj)
+	}
+}
+
+// TestNegativeWorkersMeansAllCPUs checks that a negative worker count
+// takes the zero value's meaning (one dive per CPU) instead of failing,
+// and reaches the one-worker optimum.
+func TestNegativeWorkersMeansAllCPUs(t *testing.T) {
+	m := randomKnapsack(2, 16)
+	one, err := m.Solve(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	neg, err := m.Solve(Options{Workers: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Status != Optimal || neg.Status != Optimal {
+		t.Fatalf("status one=%v neg=%v", one.Status, neg.Status)
+	}
+	if math.Abs(one.Obj-neg.Obj) > 1e-9 {
+		t.Fatalf("obj one=%v neg=%v", one.Obj, neg.Obj)
+	}
+	if o := (Options{Workers: -1}).withDefaults(); o.Workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("Workers -1 defaults to %d, want GOMAXPROCS %d", o.Workers, runtime.GOMAXPROCS(0))
 	}
 }

@@ -21,15 +21,15 @@ type search struct {
 	bestObj float64 // internal (minimization) direction; +Inf = none
 	bestX   []float64
 
-	// Portfolio diversification (nil/false on the sequential solver
-	// and on worker 0, which keeps the canonical dive order).
+	// Portfolio diversification (nil/false on worker 0, which keeps
+	// the canonical dive order).
 	// jitter perturbs the most-fractional branching score per variable;
 	// flipDive explores the away-from-LP rounding first.
 	jitter   []float64
 	flipDive bool
-	// shared, when non-nil, is the portfolio-wide incumbent objective:
-	// workers prune against it and publish improvements to it, while
-	// bestObj/bestX stay private so the final merge is deterministic.
+	// shared is the portfolio-wide incumbent objective: workers prune
+	// against it and publish improvements to it, while bestObj/bestX
+	// stay private so the final merge is deterministic.
 	shared *sharedBound
 	// rootBound is the root LP relaxation value (internal direction);
 	// -Inf until solved. With depth-first search this is the bound we
@@ -58,9 +58,7 @@ func (s *search) setIncumbent(x []float64, objInternal float64) {
 	if objInternal < s.bestObj-1e-12 {
 		s.bestObj = objInternal
 		s.bestX = append(s.bestX[:0], x[:len(s.m.obj)]...)
-		if s.shared != nil {
-			s.shared.update(objInternal)
-		}
+		s.shared.update(objInternal)
 		if s.tr != nil && s.tr.Enabled() {
 			obj := objInternal
 			if s.m.maximize {
@@ -85,7 +83,7 @@ func (s *search) pruned(obj float64) bool {
 	if obj >= s.bestObj-1e-9 {
 		return true
 	}
-	return s.shared != nil && obj >= s.shared.load()+1e-9
+	return obj >= s.shared.load()+1e-9
 }
 
 // run performs DFS branch and bound.

@@ -38,9 +38,13 @@ import (
 
 // Scheduler is the BiPartition scheduler.
 type Scheduler struct {
-	// Epsilon is the second-level balance tolerance (default 0.05).
+	// Epsilon is the second-level (K-way) balance tolerance. New sets
+	// 0.05; zero caps every part at its proportional weight target,
+	// with no slack.
 	Epsilon float64
-	// BINWEpsilon is the first-level bisection tolerance (default 0.20).
+	// BINWEpsilon is the first-level (BINW) bisection tolerance. New
+	// sets 0.20; zero caps each side of a bisection at its weight
+	// target, with no slack.
 	BINWEpsilon float64
 	// Seed drives the randomized multilevel partitioner.
 	Seed int64
@@ -54,7 +58,7 @@ type Scheduler struct {
 	// ablation bench).
 	UseLRU bool
 	// Workers bounds the goroutines of the recursive hypergraph
-	// partitioners (0 = GOMAXPROCS, 1 = sequential). The schedule is a
+	// partitioners (≤ 0 = GOMAXPROCS, 1 = sequential). The schedule is a
 	// pure function of Seed — Workers never changes the result, only
 	// the wall-clock time to compute it.
 	Workers int
@@ -155,7 +159,7 @@ func (s *Scheduler) selectSubBatch(st *core.State, pending []batch.TaskID) ([]ba
 		return s.greedySubBatch(st, pending, agg), nil
 	}
 	h, _, files := buildHypergraph(st, pending, nil)
-	part, np, err := hypergraph.PartitionBINWOpt(h, agg, hypergraph.BINWOptions{Eps: s.BINWEpsilon, Seed: s.Seed, Workers: s.Workers, Trace: s.Trace})
+	part, np, err := hypergraph.PartitionBINW(h, agg, hypergraph.BINWOptions{Eps: s.BINWEpsilon, Seed: s.Seed, Workers: s.Workers, Trace: s.Trace})
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +243,7 @@ func (s *Scheduler) mapTasks(st *core.State, sub []batch.TaskID) (map[batch.Task
 	K := st.P.Platform.NumCompute()
 	weights := s.vertexWeights(st, sub)
 	h, _, _ := buildHypergraph(st, sub, weights)
-	part, err := hypergraph.PartitionKWayOpt(h, K, hypergraph.KWayOptions{Eps: s.Epsilon, Seed: s.Seed + 1, Workers: s.Workers, Trace: s.Trace})
+	part, err := hypergraph.PartitionKWay(h, K, hypergraph.KWayOptions{Eps: s.Epsilon, Seed: s.Seed + 1, Workers: s.Workers, Trace: s.Trace})
 	if err != nil {
 		return nil, err
 	}

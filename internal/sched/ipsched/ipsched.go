@@ -18,13 +18,16 @@ type Scheduler struct {
 	// Strong selects the per-(i,j,ℓ) linking rows instead of the
 	// aggregated ones (tighter LP bound, far larger model).
 	Strong bool
-	// AllocBudget caps wall-clock time of each allocation IP solve
-	// (default 30 s). The incumbent at the deadline is used.
+	// AllocBudget caps wall-clock time of each allocation IP solve;
+	// the incumbent at the deadline is used. New sets 30 s; zero means
+	// no time limit.
 	AllocBudget time.Duration
-	// SelectBudget caps each sub-batch-selection IP solve (default 10 s).
+	// SelectBudget caps each sub-batch-selection IP solve. New sets
+	// 10 s; zero means no time limit.
 	SelectBudget time.Duration
 	// Thresh is the load-balance tolerance of the selection stage
-	// (Eq. 18; default 0.5).
+	// (Eq. 18): each node's computation stays within (1+Thresh) of the
+	// mean. New sets 0.5; zero demands an exactly even split.
 	Thresh float64
 	// NoWarmStart disables seeding branch and bound with the
 	// BiPartition-derived incumbent (for the ablation bench; expect
@@ -33,7 +36,7 @@ type Scheduler struct {
 	// Seed drives the warm-start heuristic's partitioner.
 	Seed int64
 	// Workers is the parallelism of each IP solve (portfolio dives)
-	// and of the warm-start partitioner (0 = GOMAXPROCS, 1 =
+	// and of the warm-start partitioner (≤ 0 = GOMAXPROCS, 1 =
 	// sequential). The solve is deterministic for a fixed seed
 	// whenever branch and bound runs to completion within its budget.
 	Workers int

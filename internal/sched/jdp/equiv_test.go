@@ -36,8 +36,7 @@ func TestJDPIndexedEquivalence(t *testing.T) {
 			var outs [][]byte
 			var results []*core.Result
 			for _, naive := range []bool{true, false} {
-				s := New()
-				s.Naive = naive
+				s := arm(New(), naive)
 				p := &core.Problem{Batch: b, Platform: platform.XIO(tc.compute, 2, tc.disk),
 					DisableReplication: tc.noRepl}
 				rec := journal.New()

@@ -75,7 +75,7 @@ func warmState(t *testing.T, p *core.Problem, seed int64, held uint8) *core.Stat
 	return st
 }
 
-// FuzzJDPEquivalence requires planIndexed to match planNaive exactly on
+// FuzzJDPEquivalence requires PlanSubBatch to match planNaive exactly on
 // random small batches that start from a warm cluster state: the first
 // plan must be identical, and the full pipeline from that state (replica
 // daemon capped at maxRepl per round, LRU eviction under disk limits)
@@ -91,7 +91,7 @@ func FuzzJDPEquivalence(f *testing.F) {
 		var outs [][]byte
 		var results []*core.Result
 		for _, naive := range []bool{true, false} {
-			s := &Scheduler{PopularityThreshold: 2, MaxReplicasPerRound: int(maxRepl) % 6, Naive: naive}
+			s := arm(&Scheduler{PopularityThreshold: 2, MaxReplicasPerRound: int(maxRepl) % 6}, naive)
 			plan, err := s.PlanSubBatch(warmState(t, p, seed, held), pending)
 			if err != nil {
 				t.Fatalf("naive=%v: %v", naive, err)

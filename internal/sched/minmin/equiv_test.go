@@ -14,7 +14,7 @@ import (
 // runArm executes one full pipeline (plan → execute → evict → repeat)
 // and returns the provenance journal bytes plus the result, the
 // byte-level fingerprint of every decision the scheduler made.
-func runArm(t testing.TB, s *Scheduler, p *core.Problem) ([]byte, *core.Result) {
+func runArm(t testing.TB, s core.Scheduler, p *core.Problem) ([]byte, *core.Result) {
 	t.Helper()
 	rec := journal.New()
 	res, err := core.RunWith(p, s, core.RunOptions{Checked: true, Obs: core.Observer{Journal: rec}})
@@ -32,7 +32,7 @@ func runArm(t testing.TB, s *Scheduler, p *core.Problem) ([]byte, *core.Result) 
 // planner and fails unless journals and results match byte for byte.
 func requireEquivalent(t testing.TB, p *core.Problem) {
 	t.Helper()
-	naiveJ, naiveR := runArm(t, &Scheduler{Naive: true}, p)
+	naiveJ, naiveR := runArm(t, &reference{}, p)
 	incJ, incR := runArm(t, &Scheduler{}, p)
 	if !bytes.Equal(naiveJ, incJ) {
 		line := 0
@@ -119,9 +119,9 @@ func TestMinMinIncrementalEquivalenceNoReplication(t *testing.T) {
 	for _, disk := range []int64{0, 55 * platform.MB} {
 		p := &core.Problem{Batch: b, Platform: platform.XIO(4, 2, disk), DisableReplication: true}
 		var outs [][]byte
-		for _, naive := range []bool{true, false} {
+		for _, s := range []core.Scheduler{&reference{}, &Scheduler{}} {
 			rec := journal.New()
-			if _, err := core.RunWith(p, &Scheduler{Naive: naive},
+			if _, err := core.RunWith(p, s,
 				core.RunOptions{Checked: true, Obs: core.Observer{Journal: rec}}); err != nil {
 				t.Fatal(err)
 			}

@@ -16,15 +16,16 @@
 // (§4.3) frees space before the next round, exactly as the paper
 // integrates it with MinMin.
 //
-// Two implementations produce byte-identical plans (pinned by
-// TestMinMinIncrementalEquivalence): the reference O(T²·C) full-rescan
-// loop (Naive: true), and the default incremental one — a keyed
-// min-heap over per-task best completion times, updated eagerly for
-// tasks sharing a file with each placement (via an inverted file→task
-// index) and lazily, via per-node version counters and a lower-bound
-// "dirty" discount, for everything else. Re-verifying a stale entry
-// prices only the nodes holding one of the task's inputs plus the
-// least-loaded eligible nodes of each bandwidth class, not all C. See
+// The planner is incremental: a keyed min-heap over per-task best
+// completion times, updated eagerly for tasks sharing a file with each
+// placement (via an inverted file→task index) and lazily, via per-node
+// version counters and a lower-bound "dirty" discount, for everything
+// else. Re-verifying a stale entry prices only the nodes holding one of
+// the task's inputs plus the least-loaded eligible nodes of each
+// bandwidth class, not all C, so a plan costs roughly
+// O((T log T + shares)·files). The O(T²·C) full-rescan reference it
+// reproduces byte for byte lives in reference_test.go, pinned by
+// TestMinMinIncrementalEquivalence and FuzzMinMinEquivalence. See
 // DESIGN.md §14 for the invariant argument.
 package minmin
 
@@ -40,14 +41,7 @@ import (
 )
 
 // Scheduler is the MinMin baseline. The zero value is ready to use.
-type Scheduler struct {
-	// Naive selects the reference full-rescan implementation: an
-	// O(T²·C) argmin loop over a fully maintained T×C matrix. It exists
-	// for the equivalence test and the bench-scale naive arm; the
-	// default incremental path plans the same bytes in roughly
-	// O((T log T + shares)·files).
-	Naive bool
-}
+type Scheduler struct{}
 
 // New returns a MinMin scheduler.
 func New() *Scheduler { return &Scheduler{} }
@@ -61,9 +55,9 @@ func (s *Scheduler) Evict(st *core.State, pending []batch.TaskID) {
 }
 
 // mmState is the working copy of the cluster file state as one plan
-// unfolds. Both implementations share it — and in particular the ect
-// method — so their float arithmetic is operation-for-operation
-// identical.
+// unfolds. The planner and the test-only reference share it — and in
+// particular the ect method — so their float arithmetic is
+// operation-for-operation identical.
 type mmState struct {
 	p         *core.Problem
 	b         *batch.Batch
@@ -261,112 +255,6 @@ func (m *mmState) bestNode(k batch.TaskID) (float64, int32) {
 	return best, node
 }
 
-// PlanSubBatch implements core.Scheduler.
-func (s *Scheduler) PlanSubBatch(st *core.State, pending []batch.TaskID) (*core.SubPlan, error) {
-	if s.Naive {
-		return s.planNaive(st, pending)
-	}
-	return s.planIncremental(st, pending)
-}
-
-// planNaive is the reference implementation: a full T×C matrix of
-// completion estimates, refreshed after every placement (the changed
-// node's column for everyone, full rows for tasks sharing a file that
-// just gained its first cluster copy), with an O(T·C) argmin per round.
-func (s *Scheduler) planNaive(st *core.State, pending []batch.TaskID) (*core.SubPlan, error) {
-	m := newMMState(st)
-	b, C := m.b, m.C
-
-	plan := &core.SubPlan{Node: make(map[batch.TaskID]int)}
-	unsched := append([]batch.TaskID(nil), pending...)
-
-	// mct[idx][i] caches the completion estimate of unsched[idx] on
-	// node i; only the column of the node that changed is refreshed
-	// after each assignment.
-	mct := make([][]float64, len(unsched))
-	fit := make([][]bool, len(unsched))
-	for idx, k := range unsched {
-		mct[idx] = make([]float64, C)
-		fit[idx] = make([]bool, C)
-		for i := 0; i < C; i++ {
-			e, extra := m.ect(k, i)
-			mct[idx][i] = e
-			fit[idx][i] = extra <= m.free[i]
-		}
-	}
-	done := make([]bool, len(unsched))
-	remaining := len(unsched)
-
-	for remaining > 0 {
-		bestIdx, bestNode := -1, -1
-		bestT := math.Inf(1)
-		for idx := range unsched {
-			if done[idx] {
-				continue
-			}
-			for i := 0; i < C; i++ {
-				if fit[idx][i] && mct[idx][i] < bestT {
-					bestT = mct[idx][i]
-					bestIdx, bestNode = idx, i
-				}
-			}
-		}
-		if bestIdx < 0 {
-			break // nothing fits: close the sub-batch
-		}
-		k := unsched[bestIdx]
-		done[bestIdx] = true
-		remaining--
-		var cands []journal.Candidate
-		if st.J.Enabled() {
-			cands = make([]journal.Candidate, C)
-			for i := 0; i < C; i++ {
-				cands[i] = journal.Candidate{Node: i, Score: mct[bestIdx][i], Fits: fit[bestIdx][i]}
-			}
-		}
-		staged, first := m.place(st, plan, k, bestNode, bestT, cands)
-		firstCopy := false
-		for _, fc := range first {
-			firstCopy = firstCopy || fc
-		}
-		// Refresh the changed node's column for everyone; tasks that
-		// share a file which just gained its first cluster copy see a
-		// cheaper replica path on every node, so refresh those rows
-		// fully.
-		for idx, kk := range unsched {
-			if done[idx] {
-				continue
-			}
-			full := false
-			if firstCopy {
-				for _, f := range b.Tasks[kk].Files {
-					for si, sf := range staged {
-						if first[si] && sf == f {
-							full = true
-						}
-					}
-					if full {
-						break
-					}
-				}
-			}
-			lo, hi := bestNode, bestNode
-			if full {
-				lo, hi = 0, C-1
-			}
-			for i := lo; i <= hi; i++ {
-				ee, ex := m.ect(kk, i)
-				mct[idx][i] = ee
-				fit[idx][i] = ex <= m.free[i]
-			}
-		}
-	}
-	if len(plan.Tasks) == 0 {
-		return nil, fmt.Errorf("minmin: no pending task fits any node (pending %d)", len(pending))
-	}
-	return plan, nil
-}
-
 // mmEntry is one task's cached best (completion, node) pair in the
 // incremental heap. key is a lower bound on the task's true minimum
 // completion time; it is exact when the entry is clean (not dirty) and
@@ -450,12 +338,12 @@ func (h *mmHeap) popTop() {
 	}
 }
 
-// planIncremental is the default implementation. Invariants (see
-// DESIGN.md §14): every live entry's key is a lower bound on the
-// task's true minimum completion time, and a clean entry with a fresh
-// node version is exact, so popping the smallest clean-fresh key
-// reproduces the reference argmin decision for decision.
-func (s *Scheduler) planIncremental(st *core.State, pending []batch.TaskID) (*core.SubPlan, error) {
+// PlanSubBatch implements core.Scheduler. Invariants (see DESIGN.md
+// §14): every live entry's key is a lower bound on the task's true
+// minimum completion time, and a clean entry with a fresh node version
+// is exact, so popping the smallest clean-fresh key reproduces the
+// reference argmin decision for decision.
+func (s *Scheduler) PlanSubBatch(st *core.State, pending []batch.TaskID) (*core.SubPlan, error) {
 	m := newMMState(st)
 	b, C := m.b, m.C
 
