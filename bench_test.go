@@ -466,8 +466,16 @@ func BenchmarkMIPKnapsack(b *testing.B) {
 	}
 }
 
+// onePlan is a core.Scheduler that returns one precomputed sub-batch
+// plan and never evicts.
+type onePlan struct{ plan *core.SubPlan }
+
+func (s onePlan) Name() string                                                    { return "fixed" }
+func (s onePlan) PlanSubBatch(*core.State, []batch.TaskID) (*core.SubPlan, error) { return s.plan, nil }
+func (s onePlan) Evict(*core.State, []batch.TaskID)                               {}
+
 // BenchmarkRuntimeStage measures the §6 Gantt-chart executor on a
-// 1000-task sub-batch.
+// 1000-task sub-batch: a precomputed plan run through core.RunFrom.
 func BenchmarkRuntimeStage(b *testing.B) {
 	bt, err := workload.Image(workload.ImageConfig{NumTasks: 1000, Overlap: workload.HighOverlap, NumStorage: 4, Seed: 7})
 	if err != nil {
@@ -489,7 +497,7 @@ func BenchmarkRuntimeStage(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.Execute(st, plan); err != nil {
+		if _, err := core.RunFrom(st, onePlan{plan}, plan.Tasks, core.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,6 +21,13 @@ func twoNodeProblem(t *testing.T, b *batch.Batch) *Problem {
 	return p
 }
 
+// execute runs one sub-batch plan through the fault-free §6 runtime
+// stage on st: staged files enter the disk cache, tasks are marked
+// done, and the clock advances by the makespan.
+func execute(st *State, plan *SubPlan) (*ExecStats, error) {
+	return ExecuteBooked(st, plan, nil)
+}
+
 func TestExecuteSingleTaskTiming(t *testing.T) {
 	b := batch.New()
 	f := b.AddFile("f", 10*platform.MB, 0)
@@ -31,7 +38,7 @@ func TestExecuteSingleTaskTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := &SubPlan{Tasks: []batch.TaskID{task}, Node: map[batch.TaskID]int{task: 0}}
-	stats, err := Execute(st, plan)
+	stats, err := execute(st, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +77,7 @@ func TestExecutePrefersReplicaSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := &SubPlan{Tasks: []batch.TaskID{task}, Node: map[batch.TaskID]int{task: 0}}
-	stats, err := Execute(st, plan)
+	stats, err := execute(st, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +106,7 @@ func TestExecutePinnedPlanFollowsSources(t *testing.T) {
 			{File: f, Dest: 0, Kind: Replica, Src: 1},
 		},
 	}
-	stats, err := Execute(st, plan)
+	stats, err := execute(st, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +167,7 @@ func TestExecuteDiskCapacityViolationSurfaces(t *testing.T) {
 	}
 	// A buggy plan placing both tasks (120 MB) on the 100 MB node.
 	plan := &SubPlan{Tasks: []batch.TaskID{t0, t1}, Node: map[batch.TaskID]int{t0: 0, t1: 0}}
-	if _, err := Execute(st, plan); err == nil {
+	if _, err := execute(st, plan); err == nil {
 		t.Fatal("capacity violation not reported")
 	}
 }
@@ -181,7 +188,7 @@ func TestExecuteSharedFileTransferredOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Execute(st, &SubPlan{Tasks: ts, Node: node})
+	stats, err := execute(st, &SubPlan{Tasks: ts, Node: node})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +218,7 @@ func TestExecuteNoStagingDuringExecutionOnNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Execute(st, &SubPlan{Tasks: []batch.TaskID{t0, t1}, Node: map[batch.TaskID]int{t0: 0, t1: 0}})
+	stats, err := execute(st, &SubPlan{Tasks: []batch.TaskID{t0, t1}, Node: map[batch.TaskID]int{t0: 0, t1: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

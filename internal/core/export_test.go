@@ -75,7 +75,8 @@ type Booking struct {
 	Start, Dur float64
 }
 
-// ExecuteBooked is Execute with the given intervals reserved on the
+// ExecuteBooked runs one sub-batch plan through the fault-free §6
+// runtime stage on st, with the given intervals reserved on the
 // sub-batch's fresh timelines first.
 func ExecuteBooked(st *State, plan *SubPlan, bookings []Booking) (*ExecStats, error) {
 	e, err := newExecutor(st, plan, false, nil, 0, nil)

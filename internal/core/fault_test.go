@@ -1,17 +1,25 @@
 package core_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/obs/journal"
 	"repro/internal/platform"
+	"repro/internal/sched/bipart"
+	"repro/internal/sched/ipsched"
+	"repro/internal/sched/jdp"
+	"repro/internal/sched/minmin"
 	"repro/internal/workload"
 )
 
@@ -181,6 +189,109 @@ func TestRunFromSkipsDoneAndDuplicates(t *testing.T) {
 		t.Fatalf("TaskCount %d, want %d (done and duplicate IDs skipped)", got.TaskCount, len(rest))
 	}
 	sameFaultResult(t, got, want)
+}
+
+// TestRunFromRejectsUnknownTaskIDs pins that a pending ID outside the
+// batch is an error naming the ID, raised before any planner indexes
+// by it.
+func TestRunFromRejectsUnknownTaskIDs(t *testing.T) {
+	p := smallProblem(t, 0)
+	for _, x := range []batch.TaskID{-1, batch.TaskID(p.Batch.NumTasks()), 1000} {
+		st, err := core.NewState(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.RunFrom(st, minmin.New(), []batch.TaskID{0, x}, core.RunOptions{})
+		if err == nil {
+			t.Fatalf("pending task %d: no error (result %+v)", x, res)
+		}
+		if want := fmt.Sprintf("task %d ", x); !strings.Contains(err.Error(), want) {
+			t.Fatalf("pending task %d: error %q does not name it", x, err)
+		}
+		if st.Done[0] {
+			t.Fatalf("pending task %d: task 0 ran before the error", x)
+		}
+	}
+}
+
+// TestInertFaultPlanMatchesFaultFree pins that a fault-free run is the
+// zero-fault case of the one commit path: a plan that is enabled but
+// never draws a fault (every straggler factor is 1) must reproduce the
+// nil-plan run — Status, every ExecStats field down to the float bits,
+// and the journal, whose stage events differ only in carrying an
+// attempt number.
+func TestInertFaultPlanMatchesFaultFree(t *testing.T) {
+	inert := &faults.FaultPlan{StragglerProb: 0.5, StragglerFactor: 1}
+	if !inert.Enabled() {
+		t.Fatal("inert plan is disabled; the test would compare two nil-plan runs")
+	}
+	run := func(name string, p *core.Problem, s core.Scheduler, fp *faults.FaultPlan) (*core.Result, [][]byte) {
+		rec := journal.New()
+		res, err := core.RunWith(p, s, core.RunOptions{Checked: true, Faults: fp, Obs: core.Observer{Journal: rec}})
+		if err != nil {
+			t.Fatalf("%s (faults %v): %v", name, fp != nil, err)
+		}
+		var lines [][]byte
+		for _, ev := range rec.Events() {
+			if ev.Stage != nil {
+				st := *ev.Stage
+				st.Attempt = 0
+				ev.Stage = &st
+			}
+			b, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, b)
+		}
+		return res, lines
+	}
+	type arm struct {
+		name  string
+		tasks int
+		nodes int
+		seeds []int64
+		make  func(seed int64) core.Scheduler
+	}
+	arms := []arm{
+		{"MinMin", 40, 4, []int64{1, 2, 3}, func(int64) core.Scheduler { return minmin.New() }},
+		{"JDP", 40, 4, []int64{1, 2, 3}, func(int64) core.Scheduler { return jdp.New() }},
+		{"BiPartition", 40, 4, []int64{1, 2, 3}, func(seed int64) core.Scheduler { return bipart.New(seed) }},
+		{"IP", 8, 2, []int64{2}, func(seed int64) core.Scheduler {
+			ip := ipsched.New(seed)
+			ip.AllocBudget, ip.SelectBudget, ip.Workers = time.Minute, time.Minute, 1
+			return ip
+		}},
+	}
+	for _, a := range arms {
+		for _, seed := range a.seeds {
+			for _, limited := range []bool{false, true} {
+				name := fmt.Sprintf("%s/seed%d/limited=%v", a.name, seed, limited)
+				p := exactnessProblem(t, seed, a.tasks, a.nodes, limited)
+				want, wantJ := run(name, p, a.make(seed), nil)
+				got, gotJ := run(name, p, a.make(seed), inert)
+				if got.Status != want.Status {
+					t.Errorf("%s: status %s, fault-free %s", name, got.Status, want.Status)
+				}
+				if math.Float64bits(got.Makespan) != math.Float64bits(want.Makespan) {
+					t.Errorf("%s: makespan %v, fault-free %v", name, got.Makespan, want.Makespan)
+				}
+				if got.ExecStats != want.ExecStats {
+					t.Errorf("%s: stats differ:\n  inert:      %+v\n  fault-free: %+v", name, got.ExecStats, want.ExecStats)
+				}
+				if len(gotJ) != len(wantJ) {
+					t.Errorf("%s: journal has %d events, fault-free %d", name, len(gotJ), len(wantJ))
+					continue
+				}
+				for i := range gotJ {
+					if !bytes.Equal(gotJ[i], wantJ[i]) {
+						t.Errorf("%s: journal event %d differs:\n  inert:      %s\n  fault-free: %s", name, i, gotJ[i], wantJ[i])
+						break
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestResultJSONRoundTrip pins that every Result field — including

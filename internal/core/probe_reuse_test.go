@@ -17,6 +17,34 @@ import (
 	"repro/internal/workload"
 )
 
+// exactnessProblem is the IMAGE high-overlap batch of the exactness
+// matrix on an XIO platform with nodes compute nodes: unlimited disk,
+// or (limited) half the working set across the cluster but never less
+// than the largest task needs.
+func exactnessProblem(t *testing.T, seed int64, tasks, nodes int, limited bool) *core.Problem {
+	t.Helper()
+	b, err := workload.Image(workload.ImageConfig{NumTasks: tasks, Overlap: workload.HighOverlap, NumStorage: 2, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var disk int64
+	if limited {
+		disk = b.TotalUniqueBytes(nil) / int64(2*nodes)
+		for _, tk := range b.Tasks {
+			var need int64
+			for _, f := range tk.Files {
+				need += b.FileSize(f)
+			}
+			disk = max(disk, need)
+		}
+	}
+	p := &core.Problem{Batch: b, Platform: platform.XIO(nodes, 2, disk)}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // exactnessRuns runs every configuration of the executor-exactness
 // matrix through run: the four schedulers (a tiny IP model, whose
 // pinned plans reach the dynamic staging loop only through twin
@@ -26,30 +54,6 @@ import (
 // through.
 func exactnessRuns(t *testing.T, run func(name string, p *core.Problem, s core.Scheduler, opt core.RunOptions)) {
 	t.Helper()
-	problem := func(seed int64, tasks, nodes int, limited bool) *core.Problem {
-		b, err := workload.Image(workload.ImageConfig{NumTasks: tasks, Overlap: workload.HighOverlap, NumStorage: 2, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var disk int64
-		if limited {
-			// Half the working set across the cluster, but never less
-			// than the largest task needs.
-			disk = b.TotalUniqueBytes(nil) / int64(2*nodes)
-			for _, tk := range b.Tasks {
-				var need int64
-				for _, f := range tk.Files {
-					need += b.FileSize(f)
-				}
-				disk = max(disk, need)
-			}
-		}
-		p := &core.Problem{Batch: b, Platform: platform.XIO(nodes, 2, disk)}
-		if err := p.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
 	type arm struct {
 		name         string
 		tasks, nodes int
@@ -89,7 +93,7 @@ func exactnessRuns(t *testing.T, run func(name string, p *core.Problem, s core.S
 						opt.Obs.Journal = journal.New()
 					}
 					run(fmt.Sprintf("%s/seed%d/faults=%v/limited=%v", a.name, seed, faulty, limited),
-						problem(seed, a.tasks, a.nodes, limited), a.make(seed), opt)
+						exactnessProblem(t, seed, a.tasks, a.nodes, limited), a.make(seed), opt)
 				}
 			}
 		}

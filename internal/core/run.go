@@ -100,8 +100,9 @@ type RunOptions struct {
 	// Faults, when non-nil and enabled, injects the scenario's crash,
 	// transfer-failure and straggler events and activates the recovery
 	// path (retry/backoff, replica-preferring re-staging, re-queueing
-	// with per-task budgets). Nil or disabled plans take the fault-free
-	// fast path, byte-identical to a run without this option.
+	// with per-task budgets). Nil or disabled plans draw no fault: the
+	// run is the zero-fault case of the same commit path, byte-identical
+	// to a run without this option.
 	Faults *faults.FaultPlan
 	// Spec, when non-nil and active (and Faults enabled), forks
 	// speculative duplicate attempts of straggling executions:
@@ -128,7 +129,8 @@ func RunWith(p *Problem, s Scheduler, opt RunOptions) (*Result, error) {
 // explicit pending-task set, allowing callers to chain batches over a
 // warm disk cache. Task IDs already completed in st, and duplicate
 // IDs, are skipped rather than double-executed — recovery re-queueing
-// feeds this path and hand-built resume lists may contain both.
+// feeds this path and hand-built resume lists may contain both. An ID
+// outside the batch is an error.
 func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*Result, error) {
 	if err := opt.Faults.Validate(); err != nil {
 		return nil, err
@@ -143,7 +145,10 @@ func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 	pendingSet := make(map[batch.TaskID]bool, len(pending))
 	clean := make([]batch.TaskID, 0, len(pending))
 	for _, t := range pending {
-		if pendingSet[t] || (int(t) < len(st.Done) && st.Done[t]) {
+		if t < 0 || int(t) >= len(st.Done) {
+			return nil, fmt.Errorf("core: pending task %d is not in the batch (%d tasks)", t, len(st.Done))
+		}
+		if pendingSet[t] || st.Done[t] {
 			continue
 		}
 		pendingSet[t] = true
@@ -180,12 +185,8 @@ func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 	// reports only its own share.
 	evictionsBefore := st.Evictions
 	// Per-task re-queue counts against the fault-recovery budget.
-	var attempts map[batch.TaskID]int
-	budget := 0
-	if inj != nil {
-		attempts = make(map[batch.TaskID]int)
-		budget = inj.TaskRetryBudget()
-	}
+	attempts := make(map[batch.TaskID]int)
+	budget := inj.TaskRetryBudget()
 	for len(pending) > 0 {
 		st.JRound = res.SubBatches
 		endPlan := tr.Span(obs.TrackSched, "phase", "plan",
@@ -269,14 +270,17 @@ func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 		}
 	}
 	res.Evictions = st.Evictions - evictionsBefore
-	if inj != nil && opt.Spec.Active() {
+	// Fault and speculation counters are reported only for runs that
+	// inject faults, so a fault-free run's metrics keep their key set.
+	faulty := opt.Faults.Enabled()
+	if faulty && opt.Spec.Active() {
 		ob.Metrics.Count("core.spec.launches", int64(res.SpecLaunches))
 		ob.Metrics.Count("core.spec.wins", int64(res.SpecWins))
 		ob.Metrics.Count("core.spec.cancels", int64(res.SpecCancels))
 		ob.Metrics.Count("core.spec.saved", int64(res.SpecSaved))
 		ob.Metrics.SetGauge("core.spec.wasted_s", res.SpecWastedSeconds)
 	}
-	if inj != nil {
+	if faulty {
 		ob.Metrics.Count("core.fault.transfer_failures", int64(res.TransferFailures))
 		ob.Metrics.Count("core.fault.transfer_retries", int64(res.TransferRetries))
 		ob.Metrics.Count("core.fault.replica_recoveries", int64(res.ReplicaRecoveries))

@@ -91,7 +91,7 @@ func (o Options) tasks(full int) int {
 
 // run executes one (problem, scheduler) pair under the cell's
 // observer (zero Observer = unobserved, same schedule either way),
-// optional fault scenario (nil = fault-free fast path), and optional
+// optional fault scenario (nil = no faults drawn), and optional
 // speculation policy (nil = no duplicate attempts).
 func run(p *core.Problem, s core.Scheduler, ob core.Observer, fp *faults.FaultPlan, sp *spec.Policy) (*core.Result, error) {
 	if err := p.Validate(); err != nil {

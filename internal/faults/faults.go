@@ -24,8 +24,9 @@ import (
 
 // FaultPlan is a complete chaos scenario: who fails, how often, and
 // what the recovery budgets are. The zero value (and nil) injects
-// nothing — Enabled reports false and the runtime takes its fault-free
-// fast path. All times and rates are in simulated seconds.
+// nothing — Enabled reports false and the runtime runs the zero-fault
+// case of its one commit path. All times and rates are in simulated
+// seconds.
 type FaultPlan struct {
 	// Seed drives every random decision in the scenario.
 	Seed int64 `json:"seed"`
@@ -67,7 +68,8 @@ type FaultPlan struct {
 }
 
 // Enabled reports whether the plan injects any fault at all. Nil and
-// zero-valued plans are disabled, which is the runtime's fast path.
+// zero-valued plans are disabled: they compile to no Injector, and the
+// runtime draws no fault.
 func (p *FaultPlan) Enabled() bool {
 	if p == nil {
 		return false

@@ -23,8 +23,9 @@ type Injector struct {
 }
 
 // NewInjector compiles the plan for a cluster with numCompute nodes.
-// Disabled plans (nil or zero) compile to a nil Injector, which is the
-// runtime's signal to take the fault-free fast path.
+// Disabled plans (nil or zero) compile to a nil Injector. Every method
+// is nil-safe and answers for a fault-free run: no crash, no failed
+// transfer, no straggler, one transfer attempt.
 func NewInjector(p *FaultPlan, numCompute int) *Injector {
 	if !p.Enabled() {
 		return nil
@@ -39,11 +40,23 @@ func NewInjector(p *FaultPlan, numCompute int) *Injector {
 // Plan returns the compiled plan with defaults applied.
 func (in *Injector) Plan() FaultPlan { return in.plan }
 
-// MaxTransferRetries returns the per-staging attempt bound.
-func (in *Injector) MaxTransferRetries() int { return in.plan.MaxTransferRetries }
+// MaxTransferRetries returns the per-staging attempt bound: one
+// attempt on a nil Injector, whose transfers never fail.
+func (in *Injector) MaxTransferRetries() int {
+	if in == nil {
+		return 1
+	}
+	return in.plan.MaxTransferRetries
+}
 
-// TaskRetryBudget returns the per-task re-queue bound.
-func (in *Injector) TaskRetryBudget() int { return in.plan.TaskRetryBudget }
+// TaskRetryBudget returns the per-task re-queue bound (0 on a nil
+// Injector, which never interrupts a task).
+func (in *Injector) TaskRetryBudget() int {
+	if in == nil {
+		return 0
+	}
+	return in.plan.TaskRetryBudget
+}
 
 // Decision domains, mixed into the hash so that e.g. crash draws and
 // transfer draws over the same indices stay independent.

@@ -95,7 +95,7 @@ type Timeline struct {
 	flat []Interval
 	// unsorted records that some interval ends after its successor (see
 	// EndsSorted). It is sticky: an inverted pair stays inverted under
-	// further inserts, so only Reset clears it.
+	// further inserts.
 	unsorted bool
 }
 
@@ -143,15 +143,6 @@ func (t *Timeline) recalcMetasFrom(mi int) {
 // NewTimeline returns an empty timeline.
 func NewTimeline() *Timeline { return &Timeline{} }
 
-// Reset clears all reservations.
-func (t *Timeline) Reset() {
-	t.chunks = t.chunks[:0]
-	t.metas = t.metas[:0]
-	t.n = 0
-	t.flat = nil
-	t.unsorted = false
-}
-
 // EndsSorted reports whether the interval ends are non-decreasing in
 // start order. Reserve tolerates OverlapEps of overlap, so a
 // reservation shorter than that (a sub-eps partial fault or transfer)
@@ -166,7 +157,7 @@ func (t *Timeline) EndsSorted() bool { return !t.unsorted }
 func (t *Timeline) Len() int { return t.n }
 
 // Intervals returns the busy intervals in order. The slice must not be
-// modified, and is valid only until the next Reserve or Reset.
+// modified, and is valid only until the next Reserve.
 func (t *Timeline) Intervals() []Interval {
 	if t.flat == nil {
 		flat := make([]Interval, 0, t.n)
@@ -389,13 +380,6 @@ type Overlay struct {
 
 // NewOverlay wraps base with an empty tentative set.
 func NewOverlay(base *Timeline) *Overlay { return &Overlay{base: base} }
-
-// Reset drops the tentative reservations (the base is untouched).
-func (o *Overlay) Reset(base *Timeline) {
-	o.base = base
-	o.extra = o.extra[:0]
-	o.unsorted = false
-}
 
 // Clear drops the tentative reservations, keeping the base — for
 // callers that cache overlays keyed by their base timeline.

@@ -134,8 +134,6 @@ type Options struct {
 	WarmStart []float64
 	// LP tunes the underlying simplex solves.
 	LP simplex.Options
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
 	// Trace, when non-nil, receives per-worker dive spans and
 	// incumbent-improvement instants. Observability only: the search
 	// never reads it for decisions.
@@ -145,9 +143,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.NodeLimit == 0 {
 		o.NodeLimit = 100000
-	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-6
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)

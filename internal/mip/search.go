@@ -8,6 +8,10 @@ import (
 	"repro/internal/simplex"
 )
 
+// intTol is the integrality tolerance: an integer variable whose LP
+// value lies within intTol of an integer is not branched on.
+const intTol = 1e-6
+
 // search carries the branch-and-bound state. Bounds are mutated in
 // place on the shared LP with undo on backtrack (depth-first), keeping
 // memory flat.
@@ -161,7 +165,7 @@ func (s *search) dfs(depth int) {
 		}
 		f := res.X[j] - math.Floor(res.X[j])
 		frac := math.Min(f, 1-f)
-		if frac <= s.opt.IntTol {
+		if frac <= intTol {
 			continue
 		}
 		score := frac

@@ -29,10 +29,6 @@ type Scheduler struct {
 	// (Eq. 18): each node's computation stays within (1+Thresh) of the
 	// mean. New sets 0.5; zero demands an exactly even split.
 	Thresh float64
-	// NoWarmStart disables seeding branch and bound with the
-	// BiPartition-derived incumbent (for the ablation bench; expect
-	// far worse anytime solutions).
-	NoWarmStart bool
 	// Seed drives the warm-start heuristic's partitioner.
 	Seed int64
 	// Workers is the parallelism of each IP solve (portfolio dives)
@@ -99,10 +95,8 @@ func (s *Scheduler) allocateOnce(st *core.State, sub []batch.TaskID) (*core.SubP
 	ins := buildInstance(st, sub)
 	m, vi := ins.buildAllocationModel(s.Strong)
 	opt := mip.Options{TimeLimit: s.AllocBudget, Workers: s.Workers, Trace: s.Trace}
-	if !s.NoWarmStart {
-		if nodeOf, ok := s.heuristicAssignment(st, sub); ok {
-			opt.WarmStart = ins.warmStart(m, vi, nodeOf)
-		}
+	if nodeOf, ok := s.heuristicAssignment(st, sub); ok {
+		opt.WarmStart = ins.warmStart(m, vi, nodeOf)
 	}
 	endSolve := tr.Span(obs.TrackSched, "ipsched", "allocation IP",
 		obs.A("tasks", len(sub)), obs.A("warm_start", opt.WarmStart != nil))
