@@ -88,14 +88,15 @@ spec-chaos:
 
 # Decision-journal determinism from the CLI down: the same seeded
 # figure at -workers 1 and -workers 8 must write byte-identical
-# provenance journals, and schedexplain must answer over the result
+# provenance journals (IP included: its budget counts branch-and-bound
+# nodes, not seconds), and schedexplain must answer over the result
 # (summary + critical path). The quick chaos matrix gets the same
 # check, so the fault, retry, burn and speculation events are covered
 # too. CI's `journal` job runs this and archives both journals as
 # artifacts.
 explain-check:
-	$(GO) run ./cmd/paperfigs -fig 3 -quick -skip-ip -workers 1 -journal journal_w1.jsonl > /dev/null
-	$(GO) run ./cmd/paperfigs -fig 3 -quick -skip-ip -workers 8 -journal journal_w8.jsonl > /dev/null
+	$(GO) run ./cmd/paperfigs -fig 3 -quick -workers 1 -journal journal_w1.jsonl > /dev/null
+	$(GO) run ./cmd/paperfigs -fig 3 -quick -workers 8 -journal journal_w8.jsonl > /dev/null
 	cmp journal_w1.jsonl journal_w8.jsonl
 	$(GO) run ./cmd/schedexplain -journal journal_w1.jsonl
 	$(GO) run ./cmd/schedexplain -journal journal_w1.jsonl -critical > /dev/null

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/batch"
 	"repro/internal/core"
@@ -24,12 +23,12 @@ import (
 )
 
 // The paper-figure benchmarks run the experiment harness in quick mode
-// (workloads ~10× smaller, IP budgets in seconds) so the whole suite
+// (workloads ~10× smaller, so IP solves take seconds) so the whole suite
 // regenerates every figure's shape in minutes. `go run ./cmd/paperfigs`
 // produces the full-scale numbers recorded in EXPERIMENTS.md.
 
 func quickOpts() experiments.Options {
-	return experiments.Options{Quick: true, Seed: 1, IPBudget: 2 * time.Second}
+	return experiments.Options{Quick: true, Seed: 1}
 }
 
 func benchFigure(b *testing.B, f func(experiments.Options) ([]*report.Table, error)) {
@@ -74,12 +73,7 @@ func BenchmarkSchedulers(b *testing.B) {
 		name string
 		mk   func() core.Scheduler
 	}{
-		{"IP", func() core.Scheduler {
-			ip := ipsched.New(3)
-			ip.AllocBudget = time.Second
-			ip.SelectBudget = 500 * time.Millisecond
-			return ip
-		}},
+		{"IP", func() core.Scheduler { return ipsched.New(3) }},
 		{"BiPartition", func() core.Scheduler { return bipart.New(3) }},
 		{"MinMin", func() core.Scheduler { return minmin.New() }},
 		{"JobDataPresent", func() core.Scheduler { return jdp.New() }},
@@ -182,7 +176,6 @@ func BenchmarkAblationIPFormulation(b *testing.B) {
 			p := ablationProblem(b, 12, 0)
 			ip := ipsched.New(9)
 			ip.Strong = mode.strong
-			ip.AllocBudget = 2 * time.Second
 			runScheduler(b, p, ip, "makespan_s")
 		})
 	}
@@ -438,7 +431,7 @@ func BenchmarkSimplexAssignmentLP(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := simplex.Solve(lp, simplex.Options{})
+		res, err := simplex.Solve(lp)
 		if err != nil || res.Status != simplex.Optimal {
 			b.Fatalf("status %v err %v", res.Status, err)
 		}

@@ -7,7 +7,7 @@
 //	batchsched -app sat|image -tasks 100 -overlap high|medium|low
 //	           -platform xio|osumed -compute 4 -storage 4
 //	           -sched ip|bipartition|minmin|jdp [-disk-gb 40]
-//	           [-no-replication] [-ip-budget 20s] [-seed 1] [-v]
+//	           [-no-replication] [-ip-budget NODES] [-seed 1] [-v]
 //	           [-workers N] [-faults SCENARIO] [-speculate POLICY]
 //	           [-obs-trace out.json] [-obs-metrics out.json] [-obs-gantt]
 //	           [-journal out.jsonl] [-listen :8080 [-serve-for 10m]]
@@ -32,12 +32,17 @@
 // burnt as wasted compute. Only meaningful together with -faults —
 // without an injector the threshold is never exceeded.
 //
-// -workers sets the parallelism of the scheduler's solver (the IP
-// branch-and-bound portfolio, the hypergraph partitioner); 0 uses
-// every CPU, 1 runs the solver on one worker, and a negative count is
-// a usage error. The schedule for a fixed seed does not depend on the
-// worker count (for the IP scheduler, whenever its solves finish within
-// budget).
+// -ip-budget is the IP scheduler's branch-and-bound node budget: the
+// nodes each portfolio dive of an allocation solve explores (a
+// selection solve gets half); 0 selects the default, and a negative
+// count is a usage error. A node budget, unlike a time budget, gives
+// the same schedule on every machine.
+//
+// -workers sets the parallelism of the hypergraph partitioner
+// (BiPartition, and the IP scheduler's warm start); 0 uses every CPU,
+// 1 runs it on one worker, and a negative count is a usage error. The
+// schedule for a fixed seed does not depend on the worker count; the
+// IP scheduler's branch-and-bound portfolio has a fixed size.
 //
 // -obs-trace records every pipeline phase and simulated reservation
 // as Chrome trace-event JSON (open in Perfetto: ui.perfetto.dev);
@@ -92,10 +97,10 @@ func main() {
 	schedName := flag.String("sched", "bipartition", "scheduler: ip, bipartition, minmin, jdp")
 	diskGB := flag.Float64("disk-gb", 0, "per-node compute disk in GB (0 = unlimited)")
 	noRep := flag.Bool("no-replication", false, "forbid compute-to-compute replication")
-	ipBudget := flag.Duration("ip-budget", 20*time.Second, "time budget per IP solve")
+	ipBudget := flag.Int("ip-budget", ipsched.DefaultNodeBudget, "branch-and-bound nodes per dive of each IP allocation solve, selection gets half (0 = default)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	verbose := flag.Bool("v", false, "print workload statistics")
-	workers := flag.Int("workers", 0, "solver parallelism (0 = all CPUs, 1 = one worker)")
+	workers := flag.Int("workers", 0, "partitioner parallelism (0 = all CPUs, 1 = one worker); never changes the schedule")
 	faultSpec := flag.String("faults", "", "failure scenario: none, mild, harsh, or key=value pairs (e.g. harsh,seed=7)")
 	specSpec := flag.String("speculate", "", "speculation policy: never, fixed-factor[:F], or single-fork[:Q] (needs -faults)")
 	obsTrace := flag.String("obs-trace", "", "write a Chrome trace-event JSON of the run (view in Perfetto)")
@@ -110,6 +115,11 @@ func main() {
 	flag.Parse()
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "-workers %d: must be ≥ 0 (0 = all CPUs)\n", *workers)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *ipBudget < 0 {
+		fmt.Fprintf(os.Stderr, "-ip-budget %d: must be ≥ 0 (0 = default)\n", *ipBudget)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -189,8 +199,7 @@ func main() {
 	switch strings.ToLower(*schedName) {
 	case "ip":
 		ip := ipsched.New(*seed)
-		ip.AllocBudget = *ipBudget
-		ip.SelectBudget = *ipBudget / 2
+		ip.NodeBudget = *ipBudget
 		ip.Workers = *workers
 		ip.Trace = ob.Trace
 		sched = ip
@@ -219,11 +228,11 @@ func main() {
 
 	fp, err := faults.Parse(*faultSpec)
 	if err != nil {
-		fatal("faults: %v", err)
+		fatal("%v", err)
 	}
 	sp, err := spec.Parse(*specSpec)
 	if err != nil {
-		fatal("speculate: %v", err)
+		fatal("%v", err)
 	}
 	if sp.Active() && fp == nil {
 		fmt.Fprintln(os.Stderr, "speculate: no fault scenario (-faults); the watchdog threshold is never exceeded and the policy is inert")

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	paperfigs [-fig 3|4|5a|5b|6|chaos|all] [-quick] [-ip-budget 20s]
+//	paperfigs [-fig 3|4|5a|5b|6|chaos|all] [-quick] [-ip-budget NODES]
 //	          [-skip-ip] [-seed N] [-csv dir] [-workers N] [-faults SCENARIO]
 //	          [-speculate POLICY] [-obs-trace out.json] [-obs-metrics out.json]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-trace trace.out]
@@ -19,11 +19,17 @@
 // (never, fixed-factor[:F], single-fork[:Q]) in those same cells;
 // chaos ignores both and sweeps its own matrix.
 //
-// -workers fans the independent cells of each figure (and each
-// scheduler's internal solver) across N goroutines; 0 uses every CPU,
-// 1 reproduces the sequential run, and a negative count is a usage
-// error. Rows are identical for a given seed regardless of the worker
-// count.
+// -ip-budget is the IP scheduler's branch-and-bound node budget: the
+// nodes each portfolio dive of an allocation solve explores (a
+// selection solve gets half). 0 selects the calibrated default, and a
+// negative count is a usage error. Because the budget counts nodes,
+// not seconds, IP cells are the same on every machine.
+//
+// -workers fans the independent cells of each figure (and the
+// hypergraph partitioner) across N goroutines; 0 uses every CPU, 1
+// reproduces the sequential run, and a negative count is a usage
+// error. Rows and journals are identical for a given seed regardless
+// of the worker count, IP cells included.
 //
 // -obs-trace records every cell's pipeline phases and simulated
 // reservations into one Chrome trace-event JSON (open in Perfetto);
@@ -54,11 +60,11 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 3, 4, 5a, 5b, 6, or all")
 	quick := flag.Bool("quick", false, "shrink workloads ~10x for a fast smoke run")
-	ipBudget := flag.Duration("ip-budget", 0, "time budget per IP solve (default 20s, quick 3s)")
+	ipBudget := flag.Int("ip-budget", 0, fmt.Sprintf("branch-and-bound nodes per dive of each IP allocation solve, selection gets half (0 = default: %d, quick %d)", experiments.FullIPBudget, experiments.QuickIPBudget))
 	skipIP := flag.Bool("skip-ip", false, "omit the IP scheduler")
 	seed := flag.Int64("seed", 1, "workload generation seed")
 	csvDir := flag.String("csv", "", "also write one CSV per table into this directory")
-	workers := flag.Int("workers", 0, "parallel workers for figure cells and solvers (0 = all CPUs, 1 = one worker)")
+	workers := flag.Int("workers", 0, "parallel workers for figure cells and the partitioner (0 = all CPUs, 1 = one worker); never changes a result")
 	faultSpec := flag.String("faults", "", "failure scenario for figure cells: none, mild, harsh, or key=value pairs")
 	specSpec := flag.String("speculate", "", "speculation policy for figure cells: never, fixed-factor[:F], or single-fork[:Q] (needs -faults; chaos sweeps its own)")
 	obsTrace := flag.String("obs-trace", "", "write a Chrome trace-event JSON of all cells (view in Perfetto)")
@@ -70,6 +76,11 @@ func main() {
 	flag.Parse()
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "-workers %d: must be ≥ 0 (0 = all CPUs)\n", *workers)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *ipBudget < 0 {
+		fmt.Fprintf(os.Stderr, "-ip-budget %d: must be ≥ 0 (0 = default)\n", *ipBudget)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -95,12 +106,12 @@ func main() {
 
 	fp, err := faults.Parse(*faultSpec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "faults: %v\n", err)
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	sp, err := spec.Parse(*specSpec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "speculate: %v\n", err)
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if sp.Active() && fp == nil {

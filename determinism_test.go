@@ -1,11 +1,12 @@
 package repro
 
 import (
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/obs/journal"
 	"repro/internal/platform"
 	"repro/internal/sched/bipart"
 	"repro/internal/sched/ipsched"
@@ -46,10 +47,10 @@ func sameResult(t *testing.T, name string, a, b *core.Result) {
 
 // TestSchedulersDeterministicWithWorkers constructs each scheduler
 // twice with the same seed and Workers > 1 and demands identical
-// results. The IP case runs on a batch small enough that every
-// portfolio dive exhausts well inside its (generous) time budget;
-// the determinism contract only covers exhausted solves, since a
-// wall-clock cutoff freezes each dive at a timing-dependent node.
+// results. IP runs twice, each checked through the journal: with a
+// budget large enough that every solve is proven optimal, and with one
+// so small that every solve stops at the limit, where the result
+// depends on the bound exchanged at each epoch barrier.
 func TestSchedulersDeterministicWithWorkers(t *testing.T) {
 	makeBatch := func() *core.Problem {
 		b, err := workload.Image(workload.ImageConfig{
@@ -66,8 +67,13 @@ func TestSchedulersDeterministicWithWorkers(t *testing.T) {
 	}{
 		{"IP", func() core.Scheduler {
 			ip := ipsched.New(7)
-			ip.AllocBudget = time.Minute
-			ip.SelectBudget = time.Minute
+			ip.NodeBudget = 100000
+			ip.Workers = 4
+			return ip
+		}},
+		{"IP budget-bound", func() core.Scheduler {
+			ip := ipsched.New(7)
+			ip.NodeBudget = 12 // one epoch barrier, then the limit
 			ip.Workers = 4
 			return ip
 		}},
@@ -86,9 +92,16 @@ func TestSchedulersDeterministicWithWorkers(t *testing.T) {
 			if err := p.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			res, err := core.RunWith(p, s.make(), core.RunOptions{})
+			j := journal.New()
+			res, err := core.RunWith(p, s.make(), core.RunOptions{Obs: core.Observer{Journal: j}})
 			if err != nil {
 				t.Fatalf("%s: %v", s.name, err)
+			}
+			want := map[string]string{"IP": "status optimal", "IP budget-bound": "status feasible"}[s.name]
+			for _, e := range j.Events() {
+				if want != "" && e.Kind == journal.KindPlace && !strings.Contains(e.Place.Reason, want) {
+					t.Fatalf("%s: want %s, got %s", s.name, want, e.Place.Reason)
+				}
 			}
 			if ref == nil {
 				ref = res
@@ -103,10 +116,12 @@ func TestSchedulersDeterministicWithWorkers(t *testing.T) {
 // sequentially and once with four workers and demands identical table
 // rows: the harness merges cells in fixed order and every cell
 // re-derives its inputs from the seed, so the worker count must never
-// leak into the figures. IP is skipped because its wall-clock solve
-// budget is outside the determinism contract.
+// leak into the figures. IP runs too: its portfolio size is fixed, so
+// Workers sizes only its warm-start partitioner. Its node budget is
+// tiny to keep the race run short; TestSchedulersDeterministicWithWorkers
+// and TestJournalGoldenBudgetIP cover solves that cross epoch barriers.
 func TestFigureRowsWorkersInvariant(t *testing.T) {
-	opts := experiments.Options{Quick: true, Seed: 3, SkipIP: true}
+	opts := experiments.Options{Quick: true, Seed: 3, IPBudget: 2}
 	opts.Workers = 1
 	seq, err := experiments.Fig3(opts)
 	if err != nil {

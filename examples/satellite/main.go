@@ -38,7 +38,6 @@ func main() {
 	pf := func() *platform.Platform { return platform.OSUMED(6, 4, 0) }
 
 	ip := ipsched.New(11)
-	ip.AllocBudget = 10 * time.Second
 	schedulers := []core.Scheduler{ip, bipart.New(11), minmin.New(), jdp.New()}
 
 	fmt.Printf("%-16s %14s %14s %10s %10s\n", "scheduler", "batch time (s)", "sched time", "remote", "replicas")

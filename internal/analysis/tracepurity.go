@@ -10,7 +10,7 @@ import (
 // Where nowallclock bans time.Now/Since/Until inside solver packages
 // outright, tracepurity covers the whole module: internal/obs is the
 // one designated clock boundary, and every read elsewhere — CLI timing
-// printouts, solver deadline checks — must carry an explicit
+// printouts, the scheduling-overhead measurement — must carry an explicit
 // //schedlint:allow tracepurity annotation stating why the read cannot
 // influence the schedule. The annotations double as an auditable
 // inventory of every clock site in the repository.

@@ -2,9 +2,7 @@ package batch
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func buildBatch(t *testing.T) *Batch {
@@ -91,137 +89,5 @@ func TestFinalizeRejects(t *testing.T) {
 		if err := b4.Finalize(); err == nil {
 			t.Fatalf("compute time %v not rejected", c)
 		}
-	}
-}
-
-func TestMergeEquivalentFiles(t *testing.T) {
-	b := New()
-	f0 := b.AddFile("a", 100, 0)
-	f1 := b.AddFile("b", 200, 1)
-	f2 := b.AddFile("c", 400, 0)
-	f3 := b.AddFile("d", 800, 1)
-	// f0,f1 both required by exactly {t0}; f2,f3 by {t0,t1}.
-	b.AddTask("t0", 1, []FileID{f0, f1, f2, f3})
-	b.AddTask("t1", 1, []FileID{f2, f3})
-	m, err := MergeEquivalentFiles(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.B.NumFiles() != 2 {
-		t.Fatalf("merged files = %d, want 2", m.B.NumFiles())
-	}
-	sizes := map[int64]bool{}
-	for i := range m.B.Files {
-		sizes[m.B.Files[i].Size] = true
-	}
-	if !sizes[300] || !sizes[1200] {
-		t.Fatalf("merged sizes wrong: %v", m.B.Files)
-	}
-	// Expansion restores all original members.
-	all := m.Expand([]FileID{0, 1})
-	if len(all) != 4 {
-		t.Fatalf("expand = %v", all)
-	}
-}
-
-func TestMergePreservesTaskStructure(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 20; trial++ {
-		b := New()
-		nf := 10 + rng.Intn(20)
-		for f := 0; f < nf; f++ {
-			b.AddFile("", int64(1+rng.Intn(100)), rng.Intn(3))
-		}
-		for k := 0; k < 5+rng.Intn(10); k++ {
-			perm := rng.Perm(nf)[:1+rng.Intn(6)]
-			fs := make([]FileID, len(perm))
-			for i, p := range perm {
-				fs[i] = FileID(p)
-			}
-			b.AddTask("", 1, fs)
-		}
-		if err := b.Finalize(); err != nil {
-			t.Fatal(err)
-		}
-		m, err := MergeEquivalentFiles(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Each task's total input bytes must be preserved.
-		for k := 0; k < b.NumTasks(); k++ {
-			if b.TaskBytes(TaskID(k)) != m.B.TaskBytes(TaskID(k)) {
-				t.Fatalf("trial %d: task %d bytes changed", trial, k)
-			}
-		}
-		// Total bytes preserved.
-		if b.TotalUniqueBytes(nil) != m.B.TotalUniqueBytes(nil) {
-			t.Fatalf("trial %d: total bytes changed", trial)
-		}
-	}
-}
-
-func TestSubBatch(t *testing.T) {
-	b := buildBatch(t)
-	sub, taskOrig, fileOrig := SubBatch(b, []TaskID{1, 2})
-	if sub.NumTasks() != 2 {
-		t.Fatalf("tasks = %d", sub.NumTasks())
-	}
-	if sub.NumFiles() != 2 { // f1, f2
-		t.Fatalf("files = %d", sub.NumFiles())
-	}
-	if taskOrig[0] != 1 || taskOrig[1] != 2 {
-		t.Fatalf("taskOrig = %v", taskOrig)
-	}
-	for i, of := range fileOrig {
-		if sub.Files[i].Size != b.Files[of].Size {
-			t.Fatalf("file size mismatch at %d", i)
-		}
-	}
-}
-
-// TestQuickMergeRoundTrip property-tests that merging never loses or
-// invents bytes and that every original file lands in exactly one
-// class.
-func TestQuickMergeRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := New()
-		nf := 5 + rng.Intn(15)
-		for f := 0; f < nf; f++ {
-			b.AddFile("", int64(1+rng.Intn(50)), 0)
-		}
-		for k := 0; k < 3+rng.Intn(6); k++ {
-			perm := rng.Perm(nf)[:1+rng.Intn(nf)]
-			fs := make([]FileID, len(perm))
-			for i, p := range perm {
-				fs[i] = FileID(p)
-			}
-			b.AddTask("", 1, fs)
-		}
-		if err := b.Finalize(); err != nil {
-			return false
-		}
-		m, err := MergeEquivalentFiles(b)
-		if err != nil {
-			return false
-		}
-		seen := make([]bool, nf)
-		for _, members := range m.Members {
-			for _, f := range members {
-				if seen[f] {
-					return false
-				}
-				seen[f] = true
-			}
-		}
-		for _, s := range seen {
-			if !s {
-				return false
-			}
-		}
-		return b.TotalUniqueBytes(nil) == m.B.TotalUniqueBytes(nil)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -259,7 +259,7 @@ func TestInertFaultPlanMatchesFaultFree(t *testing.T) {
 		{"BiPartition", 40, 4, []int64{1, 2, 3}, func(seed int64) core.Scheduler { return bipart.New(seed) }},
 		{"IP", 8, 2, []int64{2}, func(seed int64) core.Scheduler {
 			ip := ipsched.New(seed)
-			ip.AllocBudget, ip.SelectBudget, ip.Workers = time.Minute, time.Minute, 1
+			ip.NodeBudget = 100000 // every solve runs to optimality
 			return ip
 		}},
 	}

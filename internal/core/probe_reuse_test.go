@@ -3,7 +3,6 @@ package core_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -68,7 +67,7 @@ func exactnessRuns(t *testing.T, run func(name string, p *core.Problem, s core.S
 		// run forks twins.
 		{"IP", 8, 2, []int64{2, 3, 4}, func(seed int64) core.Scheduler {
 			ip := ipsched.New(seed)
-			ip.AllocBudget, ip.SelectBudget = time.Minute, time.Minute
+			ip.NodeBudget = 100000 // every solve runs to optimality
 			return ip
 		}},
 	}

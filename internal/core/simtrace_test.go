@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -91,7 +90,7 @@ func TestSimTraceAccountsForWaste(t *testing.T) {
 		t.Fatal(err)
 	}
 	ip := ipsched.New(1)
-	ip.AllocBudget, ip.SelectBudget = time.Minute, time.Minute
+	ip.NodeBudget = 100000 // every solve runs to optimality
 	harshWasted := 0.0
 	for _, s := range []core.Scheduler{minmin.New(), jdp.New(), bipart.New(1), ip} {
 		fp, err := faults.Parse("harsh,seed=5")

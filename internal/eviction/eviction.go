@@ -132,12 +132,3 @@ func evictTo(st *core.State, pending []batch.TaskID, keep float64, policy string
 		}
 	}
 }
-
-// EvictAll clears every compute-node cache (used by ablation benches).
-func EvictAll(st *core.State) {
-	for f := 0; f < st.P.Batch.NumFiles(); f++ {
-		for _, n := range st.Holders(batch.FileID(f)) {
-			st.Evict(n, batch.FileID(f))
-		}
-	}
-}

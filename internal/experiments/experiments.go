@@ -9,14 +9,13 @@
 // scaled so the requirement/capacity ratio of the sweep matches the
 // paper's (their 40 GB nodes against a ~330 GB peak requirement ⇒ our
 // 12 GB nodes against the emulator's ~113-230 GB peak); IP solves are
-// time-budgeted (the paper's lp_solve runs were minutes-to-hours at
+// node-budgeted (the paper's lp_solve runs were minutes-to-hours at
 // this scale; our branch and bound returns its best incumbent at the
-// deadline).
+// node limit, so IP cells are the same on every machine).
 package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/batch"
 	"repro/internal/core"
@@ -33,19 +32,23 @@ import (
 
 // Options tunes experiment scale.
 type Options struct {
-	// Quick shrinks workloads ~10× and IP budgets for smoke runs and
-	// benchmarks; figures keep their shape but absolute values shrink.
+	// Quick shrinks workloads ~10× for smoke runs and benchmarks;
+	// figures keep their shape but absolute values shrink.
 	Quick bool
-	// IPBudget caps each IP allocation solve (default 20 s, quick 3 s).
-	IPBudget time.Duration
+	// IPBudget is the IP scheduler's node budget: the branch-and-bound
+	// nodes each portfolio dive of an allocation solve explores (a
+	// selection solve gets half). ≤ 0 means FullIPBudget, or
+	// QuickIPBudget when Quick is set.
+	IPBudget int
 	// Seed varies the generated workloads.
 	Seed int64
 	// SkipIP drops the IP scheduler from figures that include it.
 	SkipIP bool
 	// Workers bounds the parallelism of a figure run: the independent
 	// (row × scheduler) cells of each figure fan out across this many
-	// goroutines, and each scheduler's own solver (IP portfolio,
-	// hypergraph partitioner) inherits the same setting. 0 (or any
+	// goroutines, and the hypergraph partitioner (BiPartition and the
+	// IP scheduler's warm start) inherits the same setting; the IP
+	// portfolio's size is fixed. 0 (or any
 	// negative count) means runtime.GOMAXPROCS(0); 1 reproduces the
 	// fully sequential run.
 	// Table rows are merged in fixed order and every cell re-derives
@@ -67,12 +70,19 @@ type Options struct {
 	Spec *spec.Policy
 }
 
+// Default IP node budgets, calibrated in EXPERIMENTS.md against the
+// wall-clock budgets they replace (20 s full scale, 3 s quick).
+const (
+	FullIPBudget  = ipsched.DefaultNodeBudget
+	QuickIPBudget = 100
+)
+
 func (o Options) withDefaults() Options {
-	if o.IPBudget == 0 {
+	if o.IPBudget <= 0 {
 		if o.Quick {
-			o.IPBudget = 3 * time.Second
+			o.IPBudget = QuickIPBudget
 		} else {
-			o.IPBudget = 20 * time.Second
+			o.IPBudget = FullIPBudget
 		}
 	}
 	return o
@@ -114,8 +124,7 @@ func schedulerSet(o Options) []schedSpec {
 	if !o.SkipIP {
 		ss = append(ss, schedSpec{name: "IP", isIP: true, make: func() core.Scheduler {
 			ip := ipsched.New(o.Seed + 100)
-			ip.AllocBudget = o.IPBudget
-			ip.SelectBudget = o.IPBudget / 2
+			ip.NodeBudget = o.IPBudget
 			ip.Workers = o.Workers
 			ip.Trace = o.Obs.Trace
 			return ip
@@ -195,7 +204,7 @@ func overlapFigure(o Options, app string, pf func() *platform.Platform,
 		t.AddRow(ov.String(), vals[r]...)
 	}
 	if !o.SkipIP {
-		t.Notes = append(t.Notes, fmt.Sprintf("IP solves budgeted at %v per sub-batch (best incumbent used)", o.IPBudget))
+		t.Notes = append(t.Notes, fmt.Sprintf("IP solves budgeted at %d branch-and-bound nodes per dive (best incumbent used)", o.IPBudget))
 	}
 	return t, nil
 }
@@ -416,7 +425,7 @@ func Fig6(o Options) ([]*report.Table, error) {
 		tb.AddRowMissing(label, valsB[r], miss[r])
 	}
 	if !o.SkipIP {
-		note := fmt.Sprintf("IP measured only up to %d nodes (budget %v per solve); beyond that its overhead is prohibitive, as the paper reports", ipMaxNodes, o.IPBudget)
+		note := fmt.Sprintf("IP measured only up to %d nodes (budget %d nodes per dive); beyond that its overhead is prohibitive, as the paper reports", ipMaxNodes, o.IPBudget)
 		ta.Notes = append(ta.Notes, note)
 		tb.Notes = append(tb.Notes, note)
 	}

@@ -3,12 +3,11 @@ package experiments
 import (
 	"reflect"
 	"testing"
-	"time"
 )
 
 // quick returns the smallest-possible options for smoke tests.
 func quick() Options {
-	return Options{Quick: true, Seed: 3, IPBudget: time.Second, SkipIP: true}
+	return Options{Quick: true, Seed: 3, SkipIP: true}
 }
 
 func TestFig5aQuick(t *testing.T) {

@@ -3,14 +3,13 @@
 // integer-programming-based scheduler. It offers a small model-builder
 // API (variables, linear rows, min/max objective), LP-relaxation-based
 // branch and bound with depth-first diving, most-fractional branching,
-// warm-start incumbents, and node/time limits with gap reporting.
+// warm-start incumbents, and a node limit with gap reporting.
 package mip
 
 import (
 	"fmt"
 	"math"
 	"runtime"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/simplex"
@@ -115,25 +114,25 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int(s))
 }
 
-// Options bounds the search.
+// Options bounds the search. The solution is a function of the model
+// and these options alone: no wall-clock budget exists, so the same
+// solve returns the same bits on any machine at any load.
 type Options struct {
-	// TimeLimit caps wall-clock solve time (0 = no limit).
-	TimeLimit time.Duration
 	// NodeLimit caps branch-and-bound nodes per portfolio worker
-	// (0 = default 100000).
+	// (0 = default 100000). It is the solver's only budget.
 	NodeLimit int
 	// Workers is the number of concurrent branch-and-bound dives the
 	// portfolio runs (≤ 0 = runtime.GOMAXPROCS(0)). Worker 0 follows
 	// the canonical most-fractional dive; the others use
-	// deterministically jittered branching orders, all sharing one
-	// incumbent bound, so within the same budget the portfolio's
-	// incumbent is never worse than a one-worker solve's.
+	// deterministically jittered branching orders, all exchanging
+	// their incumbent bounds at epoch barriers, so within the same
+	// budget the portfolio's incumbent is never worse than a
+	// one-worker solve's. The answer depends on Workers (the number
+	// of dives), not on how the goroutines are scheduled.
 	Workers int
 	// WarmStart, when non-nil, is a feasible assignment used as the
 	// initial incumbent (checked; ignored if infeasible).
 	WarmStart []float64
-	// LP tunes the underlying simplex solves.
-	LP simplex.Options
 	// Trace, when non-nil, receives per-worker dive spans and
 	// incumbent-improvement instants. Observability only: the search
 	// never reads it for decisions.

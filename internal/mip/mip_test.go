@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 func TestKnapsack(t *testing.T) {
@@ -198,8 +197,8 @@ func TestInfeasibleWarmStartIgnored(t *testing.T) {
 	}
 }
 
-func TestTimeLimitReturnsIncumbent(t *testing.T) {
-	// A model big enough that the time limit certainly triggers before
+func TestNodeLimitReturnsIncumbent(t *testing.T) {
+	// A model big enough that the node limit certainly triggers before
 	// exhaustion; warm start guarantees an incumbent survives.
 	rng := rand.New(rand.NewSource(5))
 	m := NewModel()
@@ -212,12 +211,12 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 		terms = append(terms, Term{j, 1 + rng.Float64()*5})
 	}
 	m.AddRow("cap", terms, LE, 30)
-	sol, err := m.Solve(Options{TimeLimit: 30 * time.Millisecond, WarmStart: warm})
+	sol, err := m.Solve(Options{NodeLimit: 20, Workers: 4, WarmStart: warm})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Status == NoSolution {
-		t.Fatalf("lost the warm incumbent")
+	if sol.Status != Feasible {
+		t.Fatalf("status %v, want feasible (budget hit with an incumbent)", sol.Status)
 	}
 	if _, ok := m.CheckFeasible(sol.X, 1e-6); !ok {
 		t.Fatalf("incumbent infeasible")

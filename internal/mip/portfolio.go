@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"strconv"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/simplex"
@@ -14,45 +12,79 @@ import (
 
 // This file implements the multi-start branch-and-bound portfolio: N
 // concurrent depth-first dives over the same model, each with its own
-// branching order, racing the same wall-clock budget. Workers share
-// the incumbent *objective* through an atomic bound (so one worker's
-// discovery immediately sharpens everyone's pruning) but keep their
-// incumbent *vectors* private; the final merge scans workers in index
-// order and takes the strictly best objective, so the reported
-// solution does not depend on goroutine interleaving. Worker 0 runs
-// the canonical most-fractional dive, which is all a one-worker solve
-// runs, so the portfolio's incumbent is never worse than the
-// one-worker incumbent under the same limits — the extra workers can
-// only tighten it.
+// branching order and the same node budget. The dives run in epochs of
+// epochNodes nodes: at the end of each epoch a dive publishes its
+// incumbent *objective* and waits until every other live dive has
+// published too (or finished), then prunes the next epoch against the
+// minimum of everything published so far. Incumbent *vectors* stay
+// private; the final merge scans workers in index order and takes the
+// strictly best objective. Because a dive only ever reads the bound at
+// a barrier, where every dive has run the same number of nodes, the
+// answer is a function of the model, NodeLimit and Workers alone, not
+// of goroutine timing. Worker 0 runs the canonical most-fractional
+// dive, which is all a one-worker solve runs, so the portfolio's
+// incumbent is never worse than the one-worker incumbent under the
+// same limits — the extra workers can only tighten it.
 
-// sharedBound is a monotonically decreasing float64 shared across
-// portfolio workers (the best incumbent objective found so far, in the
-// internal minimization direction).
-type sharedBound struct {
-	bits atomic.Uint64
+// epochNodes is the number of nodes each dive explores between two
+// bound exchanges.
+const epochNodes = 8
+
+// exchange is the portfolio's epoch barrier. best is the minimum of
+// every incumbent objective published so far (internal minimization
+// direction); released is its value as of the last barrier release,
+// the only value a dive reads.
+type exchange struct {
+	mu       sync.Mutex
+	cond     sync.Cond
+	live     int // dives not yet finished
+	arrived  int // dives parked at the current barrier
+	gen      int // barrier releases so far
+	best     float64
+	released float64
 }
 
-func newSharedBound() *sharedBound {
-	b := &sharedBound{}
-	b.bits.Store(math.Float64bits(math.Inf(1)))
-	return b
+func newExchange(dives int) *exchange {
+	e := &exchange{live: dives, best: math.Inf(1), released: math.Inf(1)}
+	e.cond.L = &e.mu
+	return e
 }
 
-func (b *sharedBound) load() float64 {
-	return math.Float64frombits(b.bits.Load())
-}
-
-// update lowers the bound to v if v is smaller.
-func (b *sharedBound) update(v float64) {
-	for {
-		old := b.bits.Load()
-		if math.Float64frombits(old) <= v {
-			return
-		}
-		if b.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
+// sync publishes a dive's incumbent objective at the end of an epoch,
+// waits until every live dive has arrived or finished, and returns the
+// minimum of all objectives published before the release.
+func (e *exchange) sync(obj float64) float64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.best = math.Min(e.best, obj)
+	e.arrived++
+	if e.arrived == e.live {
+		e.release()
+		return e.released
 	}
+	for gen := e.gen; gen == e.gen; {
+		e.cond.Wait()
+	}
+	return e.released
+}
+
+// leave publishes a finished dive's final objective and stops waiting
+// for it at later barriers.
+func (e *exchange) leave(obj float64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.best = math.Min(e.best, obj)
+	e.live--
+	if e.arrived > 0 && e.arrived == e.live {
+		e.release()
+	}
+}
+
+func (e *exchange) release() {
+	e.released = e.best
+	e.arrived = 0
+	e.gen++
+	e.cond.Broadcast()
 }
 
 // clone returns a worker-private copy of the LP. Only the bounds are
@@ -74,8 +106,12 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every dive starts from the same root relaxation: solve it once.
+	root, err := simplex.Solve(lp0)
+	if err != nil {
+		return nil, err
+	}
 	tr := obs.OrNop(opt.Trace)
-	start := time.Now() //schedlint:allow nowallclock,tracepurity anchors Options.TimeLimit, the documented wall-clock budget (DESIGN §7)
 	var warm []float64
 	warmObj := math.Inf(1)
 	if opt.WarmStart != nil {
@@ -90,14 +126,14 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 	// Build every worker's state before launching any of them: worker 0
 	// mutates lp0's bounds as soon as it starts, so all clones must be
 	// taken first.
-	shared := newSharedBound()
+	ex := newExchange(opt.Workers)
 	searches := make([]*search, opt.Workers)
 	for w := range searches {
 		lp := lp0
 		if w > 0 {
 			lp = cloneLPBounds(lp0)
 		}
-		s := &search{m: m, lp: lp, opt: opt, start: start, bestObj: math.Inf(1), shared: shared, tr: tr, widx: w}
+		s := &search{m: m, lp: lp, opt: opt, bestObj: math.Inf(1), shared: math.Inf(1), ex: ex, root: root, tr: tr, widx: w}
 		if w > 0 {
 			// Deterministic per-worker diversification: a fixed jitter
 			// stream keyed by the worker index reorders the branching,
@@ -123,6 +159,7 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 			end := tr.Span(obs.SolverTrack(w), "solver", "b&b dive",
 				obs.A("worker", w), obs.A("vars", len(m.obj)))
 			s.run()
+			ex.leave(s.bestObj)
 			end(obs.A("nodes", s.nodes), obs.A("hit_limit", s.hitLimit))
 		}()
 	}
@@ -135,7 +172,7 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 	// a bound at least as large as the final one) to hold nothing
 	// strictly better.
 	merged := &search{
-		m: m, opt: opt, start: start,
+		m: m, opt: opt,
 		bestObj:    math.Inf(1),
 		rootBound:  searches[0].rootBound,
 		rootSolved: searches[0].rootSolved,

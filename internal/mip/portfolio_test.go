@@ -1,6 +1,7 @@
 package mip
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -122,27 +123,43 @@ func TestPortfolioNeverWorseWithinBudget(t *testing.T) {
 	}
 }
 
-// TestPortfolioDeterministic runs the same parallel solve twice and
-// demands identical results: the merge is by worker index, not by
-// which goroutine finished first.
+// TestPortfolioDeterministic reruns the same four-worker solve and
+// demands bit-identical results: status, node count, and the float
+// bits of the objective and every X. The merge is by worker index and
+// bounds are exchanged only at epoch barriers, so neither which
+// goroutine finished first nor when a worker published an incumbent
+// can change the answer. The node-limited cases stop mid-search, where
+// a bound read mid-epoch would change the node count and incumbent.
 func TestPortfolioDeterministic(t *testing.T) {
+	type tc struct {
+		name    string
+		m       *Model
+		opt     Options
+		limited bool
+	}
+	var cases []tc
 	for seed := int64(1); seed <= 4; seed++ {
-		m := randomAssignment(seed*7, 10, 3)
-		a, err := m.Solve(Options{Workers: 4})
+		cases = append(cases, tc{fmt.Sprintf("assign-%d-10x3", seed*7), randomAssignment(seed*7, 10, 3), Options{Workers: 4}, false})
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		cases = append(cases,
+			tc{fmt.Sprintf("knapsack-%d-40-n400", seed*11), randomKnapsack(seed*11, 40), Options{Workers: 4, NodeLimit: 400}, true},
+			tc{fmt.Sprintf("assign-%d-12x4-n400", seed*13), randomAssignment(seed*13, 12, 4), Options{Workers: 4, NodeLimit: 400}, true})
+	}
+	for _, c := range cases {
+		first, err := c.m.Solve(c.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := m.Solve(Options{Workers: 4})
+		if c.limited && first.Status != Feasible {
+			t.Fatalf("%s: status %v, want feasible (node limit hit)", c.name, first.Status)
+		}
+		again, err := c.m.Solve(c.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Status != b.Status || math.Abs(a.Obj-b.Obj) > 1e-12 {
-			t.Fatalf("seed %d: runs differ: (%v, %v) vs (%v, %v)", seed, a.Status, a.Obj, b.Status, b.Obj)
-		}
-		for j := range a.X {
-			if math.Abs(a.X[j]-b.X[j]) > 1e-9 {
-				t.Fatalf("seed %d: solution vectors differ at %d", seed, j)
-			}
+		if got, want := goldenLine(c.name, again), goldenLine(c.name, first); got != want {
+			t.Fatalf("runs differ:\n got %s\nwant %s", got, want)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package mip
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/simplex"
@@ -20,7 +19,6 @@ type search struct {
 	lp  *simplex.LP
 	opt Options
 
-	start   time.Time
 	nodes   int
 	bestObj float64 // internal (minimization) direction; +Inf = none
 	bestX   []float64
@@ -31,10 +29,12 @@ type search struct {
 	// flipDive explores the away-from-LP rounding first.
 	jitter   []float64
 	flipDive bool
-	// shared is the portfolio-wide incumbent objective: workers prune
-	// against it and publish improvements to it, while bestObj/bestX
-	// stay private so the final merge is deterministic.
-	shared *sharedBound
+	// shared is the portfolio-wide incumbent objective as of the last
+	// epoch barrier (ex): workers prune against it and publish their
+	// bestObj to ex, while bestObj/bestX stay private so the final
+	// merge is deterministic.
+	shared float64
+	ex     *exchange
 	// rootBound is the root LP relaxation value (internal direction);
 	// -Inf until solved. With depth-first search this is the bound we
 	// report (children only tighten it locally).
@@ -47,22 +47,20 @@ type search struct {
 	tr   obs.Tracer
 	widx int
 
+	// root is the root LP relaxation's result, shared read-only by
+	// every dive of the portfolio.
+	root *simplex.Result
+
 	// ws reuses the simplex solver's allocations across the thousands
 	// of node relaxations this dive solves. Lazily created; each search
 	// (one per portfolio worker) owns its own, so dives never share.
 	ws *simplex.Workspace
 }
 
-func (s *search) timeUp() bool {
-	//schedlint:allow nowallclock,tracepurity enforces Options.TimeLimit, the documented wall-clock budget (DESIGN §7)
-	return s.opt.TimeLimit > 0 && time.Since(s.start) >= s.opt.TimeLimit
-}
-
 func (s *search) setIncumbent(x []float64, objInternal float64) {
 	if objInternal < s.bestObj-1e-12 {
 		s.bestObj = objInternal
 		s.bestX = append(s.bestX[:0], x[:len(s.m.obj)]...)
-		s.shared.update(objInternal)
 		if s.tr != nil && s.tr.Enabled() {
 			obj := objInternal
 			if s.m.maximize {
@@ -78,26 +76,20 @@ func (s *search) setIncumbent(x []float64, objInternal float64) {
 // cut. Against the private incumbent the usual tie-inclusive margin
 // applies. Against the portfolio-wide bound the margin is flipped to
 // strictly-worse-only: a subtree whose best possible value exactly
-// ties the global incumbent must still be explored, otherwise whether
-// a worker keeps its canonical solution would depend on when another
-// goroutine happened to publish the tie — and the merged result would
-// no longer be deterministic. (Symmetric scheduling models tie
-// exactly, so this is the common case, not a corner.)
+// ties another worker's incumbent must still be explored, so a worker
+// keeps its canonical solution and the one-worker dive of worker 0 is
+// never cut short by a tie. (Symmetric scheduling models tie exactly,
+// so this is the common case, not a corner.)
 func (s *search) pruned(obj float64) bool {
 	if obj >= s.bestObj-1e-9 {
 		return true
 	}
-	return obj >= s.shared.load()+1e-9
+	return obj >= s.shared+1e-9
 }
 
 // run performs DFS branch and bound.
 func (s *search) run() {
 	s.rootBound = math.Inf(-1)
-	if s.opt.TimeLimit > 0 && s.opt.LP.Deadline.IsZero() {
-		// Individual LP solves must also respect the global deadline,
-		// or a single long root relaxation blows through the budget.
-		s.opt.LP.Deadline = s.start.Add(s.opt.TimeLimit)
-	}
 	s.dfs(0)
 }
 
@@ -109,24 +101,32 @@ type fixing struct {
 
 // dfs explores the subtree under the current bound state.
 func (s *search) dfs(depth int) {
-	if s.timeUp() || s.nodes >= s.opt.NodeLimit {
+	if s.nodes >= s.opt.NodeLimit {
 		s.hitLimit = true
 		return
+	}
+	if s.nodes > 0 && s.nodes%epochNodes == 0 {
+		s.shared = s.ex.sync(s.bestObj)
 	}
 	s.nodes++
 	if s.ws == nil {
 		s.ws = new(simplex.Workspace)
 	}
-	// Workspace-backed solve: res.X aliases s.ws and is consumed fully
-	// (branch value read, incumbent copied) before the next node's
-	// solve or recursion below.
-	res, err := simplex.SolveWS(s.ws, s.lp, s.opt.LP)
-	if err != nil {
-		// Structural model errors surface on the root solve via
-		// Model.Solve; per-node errors cannot occur (bounds-only
-		// changes). Treat defensively as a pruned node.
-		s.hitLimit = true
-		return
+	// The root relaxation is shared by every dive (Model.Solve solves
+	// it once). Below the root, a workspace-backed solve: res.X aliases
+	// s.ws and is consumed fully (branch value read, incumbent copied)
+	// before the next node's solve or recursion below.
+	res := s.root
+	if depth > 0 {
+		var err error
+		res, err = simplex.SolveWS(s.ws, s.lp)
+		if err != nil {
+			// Structural model errors surface on the root solve in
+			// Model.Solve; per-node errors cannot occur (bounds-only
+			// changes). Treat defensively as a pruned node.
+			s.hitLimit = true
+			return
+		}
 	}
 	if depth == 0 {
 		s.rootSolved = res.Status == simplex.Optimal
@@ -203,7 +203,7 @@ func (s *search) dfs(depth int) {
 		first, second = second, first
 	}
 	for _, val := range []float64{first, second} {
-		if s.timeUp() || s.nodes >= s.opt.NodeLimit {
+		if s.nodes >= s.opt.NodeLimit {
 			s.hitLimit = true
 			return
 		}

@@ -2,7 +2,6 @@ package ipsched
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/batch"
 	"repro/internal/core"
@@ -13,28 +12,35 @@ import (
 	"repro/internal/sched/bipart"
 )
 
+// DefaultNodeBudget is the NodeBudget New sets: the full-scale
+// experiments' budget (see EXPERIMENTS.md for its calibration).
+const DefaultNodeBudget = 10
+
+// dives is the size of every IP solve's branch-and-bound portfolio. It
+// is a constant, so the worker count never changes a schedule.
+const dives = 4
+
 // Scheduler is the 0-1 IP scheduler of §4.
 type Scheduler struct {
 	// Strong selects the per-(i,j,ℓ) linking rows instead of the
 	// aggregated ones (tighter LP bound, far larger model).
 	Strong bool
-	// AllocBudget caps wall-clock time of each allocation IP solve;
-	// the incumbent at the deadline is used. New sets 30 s; zero means
-	// no time limit.
-	AllocBudget time.Duration
-	// SelectBudget caps each sub-batch-selection IP solve. New sets
-	// 10 s; zero means no time limit.
-	SelectBudget time.Duration
+	// NodeBudget caps the branch-and-bound nodes each portfolio dive
+	// of an allocation IP solve explores; a sub-batch-selection solve
+	// gets half. The incumbent at the limit is used. It is the only IP
+	// budget, so a schedule is the same on any machine. New sets
+	// DefaultNodeBudget; ≤ 0 means DefaultNodeBudget too.
+	NodeBudget int
 	// Thresh is the load-balance tolerance of the selection stage
 	// (Eq. 18): each node's computation stays within (1+Thresh) of the
 	// mean. New sets 0.5; zero demands an exactly even split.
 	Thresh float64
 	// Seed drives the warm-start heuristic's partitioner.
 	Seed int64
-	// Workers is the parallelism of each IP solve (portfolio dives)
-	// and of the warm-start partitioner (≤ 0 = GOMAXPROCS, 1 =
-	// sequential). The solve is deterministic for a fixed seed
-	// whenever branch and bound runs to completion within its budget.
+	// Workers is the parallelism of the warm-start partitioner (≤ 0 =
+	// GOMAXPROCS, 1 = sequential). It never changes a schedule: the
+	// partitioner is worker-invariant and every IP solve runs a fixed
+	// portfolio of dives.
 	Workers int
 	// Trace, when non-nil, is handed down to the IP solver (per-worker
 	// dive spans, incumbent instants) and the warm-start partitioner.
@@ -42,9 +48,18 @@ type Scheduler struct {
 	Trace obs.Tracer
 }
 
-// New returns an IP scheduler with the default budgets.
+// New returns an IP scheduler with the default budget.
 func New(seed int64) *Scheduler {
-	return &Scheduler{AllocBudget: 30 * time.Second, SelectBudget: 10 * time.Second, Thresh: 0.5, Seed: seed}
+	return &Scheduler{NodeBudget: DefaultNodeBudget, Thresh: 0.5, Seed: seed}
+}
+
+// nodeLimit returns the per-dive node limit of an allocation solve; a
+// selection solve gets half.
+func (s *Scheduler) nodeLimit() int {
+	if s.NodeBudget <= 0 {
+		return DefaultNodeBudget
+	}
+	return s.NodeBudget
 }
 
 // Name implements core.Scheduler.
@@ -94,7 +109,7 @@ func (s *Scheduler) allocateOnce(st *core.State, sub []batch.TaskID) (*core.SubP
 	tr := obs.OrNop(s.Trace)
 	ins := buildInstance(st, sub)
 	m, vi := ins.buildAllocationModel(s.Strong)
-	opt := mip.Options{TimeLimit: s.AllocBudget, Workers: s.Workers, Trace: s.Trace}
+	opt := mip.Options{NodeLimit: s.nodeLimit(), Workers: dives, Trace: s.Trace}
 	if nodeOf, ok := s.heuristicAssignment(st, sub); ok {
 		opt.WarmStart = ins.warmStart(m, vi, nodeOf)
 	}
@@ -188,7 +203,7 @@ func (s *Scheduler) selectSubBatch(st *core.State, pending []batch.TaskID) ([]ba
 	m, vi := ins.buildSelectionModel(s.Thresh, s.Strong)
 	endSolve := tr.Span(obs.TrackSched, "ipsched", "selection IP",
 		obs.A("pending", len(pending)))
-	sol, err := m.Solve(mip.Options{TimeLimit: s.SelectBudget, Workers: s.Workers, WarmStart: ins.selectionWarmStart(m, vi), Trace: s.Trace})
+	sol, err := m.Solve(mip.Options{NodeLimit: max(1, s.nodeLimit()/2), Workers: dives, WarmStart: ins.selectionWarmStart(m, vi), Trace: s.Trace})
 	if err != nil {
 		endSolve()
 		return nil, fmt.Errorf("ipsched: selection model: %w", err)

@@ -2,7 +2,6 @@ package ipsched
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/batch"
 	"repro/internal/core"
@@ -29,7 +28,6 @@ func tinyProblem(t *testing.T, tasks int, overlap workload.Overlap, disk int64) 
 func TestIPRunsUnlimited(t *testing.T) {
 	p := tinyProblem(t, 10, workload.HighOverlap, 0)
 	s := New(1)
-	s.AllocBudget = 5 * time.Second
 	res, err := core.RunWith(p, s, core.RunOptions{Checked: true})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +47,6 @@ func TestIPPlanIsPinnedAndComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(2)
-	s.AllocBudget = 5 * time.Second
 	plan, err := s.PlanSubBatch(st, p.Batch.AllTasks())
 	if err != nil {
 		t.Fatal(err)
@@ -89,13 +86,12 @@ func TestIPPlanIsPinnedAndComplete(t *testing.T) {
 }
 
 func TestIPBeatsOrMatchesHeuristicsOnSharedTiny(t *testing.T) {
-	// With plenty of sharing and a tight time budget the IP (warm-
+	// With plenty of sharing and a tight node budget the IP (warm-
 	// started) must be at least as good as the baselines on the IP's
 	// own objective proxy — we compare simulated makespans and allow a
 	// 10% tolerance for runtime-stage effects the static IP cannot see.
 	p := tinyProblem(t, 12, workload.HighOverlap, 0)
 	ip := New(3)
-	ip.AllocBudget = 10 * time.Second
 	resIP, err := core.RunWith(p, ip, core.RunOptions{Checked: true})
 	if err != nil {
 		t.Fatal(err)
@@ -122,8 +118,6 @@ func TestIPLimitedDiskTwoStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(6)
-	s.AllocBudget = 5 * time.Second
-	s.SelectBudget = 5 * time.Second
 	res, err := core.RunWith(p, s, core.RunOptions{Checked: true})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +131,6 @@ func TestIPDisableReplication(t *testing.T) {
 	p := tinyProblem(t, 8, workload.HighOverlap, 0)
 	p.DisableReplication = true
 	s := New(7)
-	s.AllocBudget = 5 * time.Second
 	res, err := core.RunWith(p, s, core.RunOptions{Checked: true})
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +194,6 @@ func TestStrongAndAggregatedAgreeOnTiny(t *testing.T) {
 	for _, strong := range []bool{false, true} {
 		s := New(8)
 		s.Strong = strong
-		s.AllocBudget = 10 * time.Second
 		st, err := core.NewState(p)
 		if err != nil {
 			t.Fatal(err)

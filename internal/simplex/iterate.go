@@ -1,24 +1,18 @@
 package simplex
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // iterate runs simplex pivots under the current cost vector until an
 // optimum, unboundedness, the iteration cap, or a singular
 // refactorization is hit.
 func (s *solver) iterate() Status {
 	sinceRefactor := 0
+	limit := maxIters(s.m)
 	for {
-		if s.iters >= s.opt.MaxIters {
+		if s.iters >= limit {
 			return IterLimit
 		}
-		//schedlint:allow nowallclock,tracepurity deadline abort only; callers treat a budget hit as IterLimit, and the MIP layer keeps its incumbent deterministic — the justification covers transitive callers too
-		if !s.opt.Deadline.IsZero() && s.iters%32 == 0 && time.Now().After(s.opt.Deadline) {
-			return IterLimit
-		}
-		if sinceRefactor >= s.opt.RefactorEvery {
+		if sinceRefactor >= refactorEvery {
 			if !s.refactor() {
 				return Singular
 			}
@@ -34,9 +28,6 @@ func (s *solver) iterate() Status {
 		// FTRAN: w = B^{-1} a_j.
 		s.ftranColumn(j)
 		leave, t, flip := s.ratioTest(j, dir)
-		if s.opt.Trace != nil {
-			s.opt.Trace("it=%d phase=%d enter=%d dir=%v leave-row=%d t=%v flip=%v obj=%v", s.iters, s.phase, j, dir, leave, t, flip, s.objective())
-		}
 		if math.IsInf(t, 1) {
 			if s.phase == 1 {
 				// Phase-1 objective is bounded below by 0; an
@@ -98,7 +89,6 @@ func (s *solver) reducedCost(j int) float64 {
 // Dantzig rule normally; Bland's rule when the objective has stalled,
 // to break cycles. Returns j = −1 at optimality.
 func (s *solver) price() (int, float64) {
-	tol := s.opt.Tol
 	useBland := s.stallCount > 60
 	bestJ, bestD, bestDir := -1, tol, 0.0
 	// Partial (cyclic candidate-list) pricing: scan from where the last
@@ -196,7 +186,6 @@ func (s *solver) ftran(w []float64) {
 // entering column hits its own opposite bound (flip=true). t is the
 // step length; +Inf signals an unbounded ray.
 func (s *solver) ratioTest(j int, dir float64) (leaveRow int, t float64, flip bool) {
-	tol := s.opt.Tol
 	t = math.Inf(1)
 	leaveRow = -1
 	// Entering variable's own range.
@@ -244,7 +233,7 @@ func (s *solver) ratioTest(j int, dir float64) (leaveRow int, t float64, flip bo
 // pivot applies the chosen step: updates basic values, flips bounds,
 // or swaps the entering and leaving columns and appends an eta.
 func (s *solver) pivot(j int, dir float64, leaveRow int, t float64, flip bool) {
-	if t > s.opt.Tol {
+	if t > tol {
 		s.stallCount = 0
 	} else {
 		s.stallCount++

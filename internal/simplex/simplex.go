@@ -20,7 +20,6 @@ package simplex
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Entry is one nonzero of a sparse column.
@@ -97,33 +96,31 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int(s))
 }
 
-// Options tunes the solver. Zero values select defaults.
-type Options struct {
-	// MaxIters caps total simplex iterations (default 20000 + 50·rows).
-	MaxIters int
-	// RefactorEvery rebuilds the eta file after this many pivots
-	// (default 120).
-	RefactorEvery int
-	// Tol is the feasibility/optimality tolerance (default 1e-7).
-	Tol float64
-	// Deadline, when nonzero, aborts the solve with IterLimit status
-	// once passed (checked every few iterations).
-	Deadline time.Time
-	// Trace, when non-nil, receives a line per pivot (debugging).
-	Trace func(format string, args ...interface{})
-}
+// Solver constants. Every caller runs with these; the iteration cap
+// depends only on the row count (maxIters).
+const (
+	// refactorEvery rebuilds the eta file after this many pivots.
+	refactorEvery = 120
+	// tol is the feasibility/optimality tolerance.
+	tol = 1e-7
+	// maxPivotWork is the pivots × rows^1.5 budget of one solve.
+	maxPivotWork = 2.7e9
+)
 
-func (o Options) withDefaults(rows int) Options {
-	if o.MaxIters == 0 {
-		o.MaxIters = 20000 + 50*rows
-	}
-	if o.RefactorEvery == 0 {
-		o.RefactorEvery = 120
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-7
-	}
-	return o
+// maxIters caps the total simplex iterations of one solve, phase 1
+// included; a solve that reaches it returns IterLimit. The cap is what
+// bounds the cost of one branch-and-bound node: a paper-scale
+// high-overlap allocation LP (5332 rows) is still in phase 1 after
+// 50000 pivots. Below about 1100 rows the cap is 20000 + 50·rows, far
+// more than any LP here needs. Above that it is maxPivotWork/rows^1.5:
+// one pivot's cost grows about as rows^1.5 (about 3 ms at 5332 rows,
+// 30 ms at 28069 and 100 ms at 53557 on a 2-vCPU Xeon VM), so a capped
+// solve costs roughly the same, 20–30 s on that host, at any size.
+func maxIters(rows int) int {
+	r := max(rows, 1)
+	// math.Sqrt is correctly rounded, so the cap is the same on every
+	// platform.
+	return min(20000+50*r, int(maxPivotWork/(float64(r)*math.Sqrt(float64(r)))))
 }
 
 // Result is the outcome of Solve.
@@ -140,8 +137,8 @@ type Result struct {
 }
 
 // Solve optimizes the LP.
-func Solve(lp *LP, opt Options) (*Result, error) {
-	return SolveWS(new(Workspace), lp, opt)
+func Solve(lp *LP) (*Result, error) {
+	return SolveWS(new(Workspace), lp)
 }
 
 // Workspace caches every per-solve allocation of the solver — the
@@ -165,12 +162,11 @@ type Workspace struct {
 // returned Result.X aliases workspace memory: it is valid only until
 // the next SolveWS call with the same workspace and must be copied by
 // callers that keep it.
-func SolveWS(ws *Workspace, lp *LP, opt Options) (*Result, error) {
+func SolveWS(ws *Workspace, lp *LP) (*Result, error) {
 	if err := lp.Validate(); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults(lp.NumRows)
-	s := newSolver(ws, lp, opt)
+	s := newSolver(ws, lp)
 	return s.solve(), nil
 }
 
@@ -206,8 +202,7 @@ type eta struct {
 }
 
 type solver struct {
-	lp  *LP
-	opt Options
+	lp *LP
 
 	m, n  int // rows, total columns incl. artificials
 	cost  []float64
@@ -237,10 +232,10 @@ type solver struct {
 	ws *Workspace
 }
 
-func newSolver(ws *Workspace, lp *LP, opt Options) *solver {
+func newSolver(ws *Workspace, lp *LP) *solver {
 	m := lp.NumRows
 	n := lp.NumCols()
-	s := &solver{lp: lp, opt: opt, m: m, ws: ws}
+	s := &solver{lp: lp, m: m, ws: ws}
 	total := n + m // reserve artificials
 	// Every slice comes from the workspace; entries a previous solve
 	// left behind are either overwritten below (structural columns),
@@ -384,7 +379,7 @@ func (s *solver) solve() *Result {
 	if st == Singular {
 		return &Result{Status: Singular, Obj: math.NaN(), Iters: s.iters}
 	}
-	if s.objective() > s.opt.Tol*float64(1+s.m) {
+	if s.objective() > tol*float64(1+s.m) {
 		return &Result{Status: Infeasible, Obj: math.NaN(), Iters: s.iters}
 	}
 	// Pin artificials to zero and restore the real objective.

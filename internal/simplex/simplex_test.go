@@ -39,7 +39,7 @@ func leq(c []float64, A [][]float64, b []float64, ub []float64) *LP {
 
 func solveOK(t *testing.T, lp *LP) *Result {
 	t.Helper()
-	res, err := Solve(lp, Options{})
+	res, err := Solve(lp)
 	if err != nil {
 		t.Fatalf("Solve error: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestInfeasible(t *testing.T) {
 		B:       []float64{5},
 		Cols:    [][]Entry{{{Row: 0, Val: 1}}},
 	}
-	res, err := Solve(lp, Options{})
+	res, err := Solve(lp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestUnbounded(t *testing.T) {
 			{{Row: 0, Val: 1}},
 		},
 	}
-	res, err := Solve(lp, Options{})
+	res, err := Solve(lp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestRandomVsGrid(t *testing.T) {
 		}
 		ub := []float64{1, 1, 1}
 		lp := leq(c, A, b, ub)
-		res, err := Solve(lp, Options{})
+		res, err := Solve(lp)
 		if err != nil {
 			t.Fatal(err)
 		}

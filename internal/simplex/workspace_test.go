@@ -35,11 +35,11 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 		}
 		lp := leq(c, A, b, ub)
 
-		fresh, err := Solve(lp, Options{})
+		fresh, err := Solve(lp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reused, err := SolveWS(ws, lp, Options{})
+		reused, err := SolveWS(ws, lp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,13 +66,13 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 func TestWorkspaceXAliased(t *testing.T) {
 	ws := new(Workspace)
 	lp1 := leq([]float64{-1}, [][]float64{{1}}, []float64{2}, nil)
-	res1, err := SolveWS(ws, lp1, Options{})
+	res1, err := SolveWS(ws, lp1)
 	if err != nil || res1.Status != Optimal {
 		t.Fatalf("solve 1: %v %v", res1, err)
 	}
 	saved := append([]float64(nil), res1.X...)
 	lp2 := leq([]float64{-1}, [][]float64{{1}}, []float64{5}, nil)
-	if _, err := SolveWS(ws, lp2, Options{}); err != nil {
+	if _, err := SolveWS(ws, lp2); err != nil {
 		t.Fatal(err)
 	}
 	if res1.X[0] == saved[0] && math.Abs(saved[0]-2) < 1e-9 {

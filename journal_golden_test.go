@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/batch"
 	"repro/internal/core"
@@ -24,8 +24,9 @@ import (
 // of them changes a digest here even when makespans happen to agree.
 const (
 	goldenChaosDigest = "d264be5784f3e78951b769541a89e9ca923e0db562ce2a08176a16651dbc5b92"
-	goldenTraceDigest = "20939366e9a010ae50876ffceaaddecb019c7a3b6a3f3c792f7aa86a7e5164b4"
+	goldenTraceDigest = "a0cdf817027ead3908522dfcee5b6daa3b88a3e9b86ae2b897566c1faebadeb8"
 	goldenEvictDigest = "fd958d9e5b041d020ccd4fe5330f7d31813ab7742dd649903589254326433ae6"
+	goldenIPDigest    = "630573aa30e9a315a2a3e904c9729fc21cb067b2d6f2cc63e728f4d93a9084e8"
 )
 
 func journalDigest(t *testing.T, j *journal.Recorder) string {
@@ -49,7 +50,7 @@ func checkDigest(t *testing.T, name, got, want string) {
 // scenarios × speculation × BiPartition, MinMin and JDP.
 func TestJournalGoldenChaos(t *testing.T) {
 	j := journal.New()
-	o := experiments.Options{Quick: true, Seed: 1, IPBudget: time.Second, SkipIP: true, Workers: 2,
+	o := experiments.Options{Quick: true, Seed: 1, SkipIP: true, Workers: 2,
 		Obs: core.Observer{Journal: j}}
 	if _, err := experiments.Chaos(o); err != nil {
 		t.Fatal(err)
@@ -59,17 +60,14 @@ func TestJournalGoldenChaos(t *testing.T) {
 
 // TestJournalGoldenTrace pins the golden-trace batch under all four
 // schedulers, fault-free and with the harsh preset, so pinned IP plans
-// run through the fault-injected transfer path too. The IP portfolio
-// runs on one worker: its placement reasons quote the branch-and-bound
-// node count, which a multi-worker portfolio does not fix.
+// run through the fault-injected transfer path too. IP placement
+// reasons quote the portfolio's branch-and-bound node count, which the
+// epoch-barrier bound exchange fixes.
 func TestJournalGoldenTrace(t *testing.T) {
 	j := journal.New()
 	failures := 0
 	for _, scenario := range []string{"none", "harsh"} {
 		for _, s := range traceSchedulers(nil) {
-			if ip, ok := s.sched.(*ipsched.Scheduler); ok {
-				ip.Workers = 1
-			}
 			fp, err := faults.Parse(scenario)
 			if err != nil {
 				t.Fatal(err)
@@ -112,4 +110,29 @@ func TestJournalGoldenEviction(t *testing.T) {
 		t.Error("the disk-limited run evicted nothing")
 	}
 	checkDigest(t, "eviction", journalDigest(t, j), goldenEvictDigest)
+}
+
+// TestJournalGoldenBudgetIP pins one quick-scale IP run whose solves
+// all stop at the node budget (IMAGE, 10 tasks, high overlap, 4 XIO
+// compute nodes): the incumbent, node count and hence every placement
+// depend on the bound the portfolio's dives exchange at each epoch
+// barrier.
+func TestJournalGoldenBudgetIP(t *testing.T) {
+	b, err := workload.Image(workload.ImageConfig{NumTasks: 10, Overlap: workload.HighOverlap, NumStorage: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip := ipsched.New(101)
+	ip.NodeBudget = 20
+	j := journal.New()
+	if _, err := core.RunWith(&core.Problem{Batch: b, Platform: platform.XIO(4, 4, 0)}, ip,
+		core.RunOptions{Checked: true, Obs: core.Observer{Journal: j}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range j.Events() {
+		if e.Kind == journal.KindPlace && !strings.Contains(e.Place.Reason, "status feasible") {
+			t.Fatalf("solve not budget-bound: %s", e.Place.Reason)
+		}
+	}
+	checkDigest(t, "budget-bound IP", journalDigest(t, j), goldenIPDigest)
 }

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -49,8 +48,7 @@ func traceSchedulers(tr obs.Tracer) []struct {
 	sched core.Scheduler
 } {
 	ip := ipsched.New(7)
-	ip.AllocBudget = time.Minute
-	ip.SelectBudget = time.Minute
+	ip.NodeBudget = 100000 // every solve runs to optimality
 	ip.Workers = 4
 	ip.Trace = tr
 	bp := bipart.New(7)
