@@ -14,7 +14,7 @@ import (
 // change to the RNG stream, tie-breaks, heap pop order or net splitting
 // shows up here, where the invariant and worker-invariance tests would
 // still pass.
-const goldenPartitionDigest = "9529b6f3857828b49c5d274439d23b3e9ff651a4e6665d8b1140a1b485855f5d"
+const goldenPartitionDigest = "67f5af4d925b18251d3477ee28e52900c8cfb50832059f7b7bd4d941af537808"
 
 // goldenHypergraph draws one instance of the golden family: 2–120
 // vertices with weights 1–20, nets of 1–12 pins (capped at the vertex
@@ -50,9 +50,8 @@ func hashLabels(d hash.Hash, tag, np int, part []int) {
 }
 
 // goldenDigest partitions the golden family at the given worker count:
-// each instance gets one K-way partition (k 2–17, ε from a small set,
-// every fifth without refinement) and one BINW partition (bound
-// total/2 … total/7).
+// each instance gets one K-way partition (k 2–17, ε from a small set)
+// and one BINW partition (bound total/2 … total/7).
 func goldenDigest(t *testing.T, workers int) string {
 	t.Helper()
 	d := sha256.New()
@@ -62,7 +61,7 @@ func goldenDigest(t *testing.T, workers int) string {
 		h := goldenHypergraph(rng)
 		k := 2 + rng.Intn(16)
 		eps := epsChoices[rng.Intn(len(epsChoices))]
-		part, err := PartitionKWay(h, k, KWayOptions{Eps: eps, Seed: int64(i), NoRefine: i%5 == 4, Workers: workers})
+		part, err := PartitionKWay(h, k, KWayOptions{Eps: eps, Seed: int64(i), Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
