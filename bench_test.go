@@ -80,7 +80,7 @@ func BenchmarkSchedulers(b *testing.B) {
 	} {
 		for _, tasks := range []int{10, 100} {
 			b.Run(fmt.Sprintf("%s/tasks=%d", scheme.name, tasks), func(b *testing.B) {
-				p := ablationProblem(b, tasks, 0)
+				p := benchProblem(b, tasks)
 				b.ReportAllocs()
 				runScheduler(b, p, scheme.mk(), "makespan_s")
 			})
@@ -107,7 +107,7 @@ func BenchmarkFaultRecovery(b *testing.B) {
 		{"harsh+spec", "harsh,mttf=25", "single-fork:0.86"},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
-			p := ablationProblem(b, 100, 0)
+			p := benchProblem(b, 100)
 			fp, err := faults.Parse(arm.plan)
 			if err != nil {
 				b.Fatal(err)
@@ -133,19 +133,15 @@ func BenchmarkFaultRecovery(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (DESIGN.md §5) ---------------------------------
-
-func ablationProblem(b *testing.B, tasks int, diskFrac float64) *core.Problem {
+// benchProblem is an IMAGE high-overlap batch of the given size on a
+// 4+4-node XIO platform with unlimited disk.
+func benchProblem(b *testing.B, tasks int) *core.Problem {
 	b.Helper()
 	bt, err := workload.Image(workload.ImageConfig{NumTasks: tasks, Overlap: workload.HighOverlap, NumStorage: 4, Seed: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
-	var disk int64
-	if diskFrac > 0 {
-		disk = int64(float64(bt.TotalUniqueBytes(nil)) * diskFrac / 4)
-	}
-	p := &core.Problem{Batch: bt, Platform: platform.XIO(4, 4, disk)}
+	p := &core.Problem{Batch: bt, Platform: platform.XIO(4, 4, 0)}
 	if err := p.Validate(); err != nil {
 		b.Fatal(err)
 	}
@@ -163,115 +159,6 @@ func runScheduler(b *testing.B, p *core.Problem, s core.Scheduler, metric string
 		last = res.Makespan
 	}
 	b.ReportMetric(last, metric)
-}
-
-// BenchmarkAblationIPFormulation compares the aggregated linking rows
-// against the strong per-(i,j,ℓ) rows on the same sub-batch.
-func BenchmarkAblationIPFormulation(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		strong bool
-	}{{"aggregated", false}, {"strong", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			p := ablationProblem(b, 12, 0)
-			ip := ipsched.New(9)
-			ip.Strong = mode.strong
-			runScheduler(b, p, ip, "makespan_s")
-		})
-	}
-}
-
-// BenchmarkAblationSubBatch compares BINW first-level sub-batch
-// selection against a greedy knapsack under disk pressure.
-func BenchmarkAblationSubBatch(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		greedy bool
-	}{{"binw", false}, {"greedy", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			p := ablationProblem(b, 300, 0.35)
-			s := bipart.New(4)
-			s.GreedySubBatch = mode.greedy
-			runScheduler(b, p, s, "makespan_s")
-		})
-	}
-}
-
-// BenchmarkAblationVertexWeights compares the Eq. 25–26 probabilistic
-// vertex weights against plain compute weights in the second-level
-// partition.
-func BenchmarkAblationVertexWeights(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		compute bool
-	}{{"probabilistic", false}, {"compute-only", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			p := ablationProblem(b, 200, 0)
-			s := bipart.New(4)
-			s.UseComputeWeightsOnly = mode.compute
-			runScheduler(b, p, s, "makespan_s")
-		})
-	}
-}
-
-// BenchmarkAblationEviction compares popularity eviction against LRU
-// for the BiPartition scheduler under disk pressure.
-func BenchmarkAblationEviction(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		lru  bool
-	}{{"popularity", false}, {"lru", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			p := ablationProblem(b, 300, 0.35)
-			s := bipart.New(4)
-			s.UseLRU = mode.lru
-			runScheduler(b, p, s, "makespan_s")
-		})
-	}
-}
-
-// BenchmarkAblationRefinement compares the multilevel partitioner with
-// and without FM refinement on the second-level mapping hypergraph.
-func BenchmarkAblationRefinement(b *testing.B) {
-	bt, err := workload.Image(workload.ImageConfig{NumTasks: 400, Overlap: workload.HighOverlap, NumStorage: 4, Seed: 6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hb := hypergraph.NewBuilder()
-	for range bt.Tasks {
-		hb.AddVertex(1)
-	}
-	for f := 0; f < bt.NumFiles(); f++ {
-		req := bt.Require(batch.FileID(f))
-		if len(req) < 2 {
-			continue
-		}
-		pins := make([]int, len(req))
-		for i, t := range req {
-			pins[i] = int(t)
-		}
-		hb.AddNet(bt.FileSize(batch.FileID(f)), pins)
-	}
-	h, err := hb.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name     string
-		noRefine bool
-	}{{"fm", false}, {"no-refine", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var cost int64
-			for i := 0; i < b.N; i++ {
-				part, err := hypergraph.PartitionKWay(h, 8, hypergraph.KWayOptions{Eps: 0.05, Seed: int64(i), NoRefine: mode.noRefine})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cost = h.ConnectivityCost(part)
-			}
-			b.ReportMetric(float64(cost), "connectivity-1")
-		})
-	}
 }
 
 // --- Parallel-core scaling benches ------------------------------------

@@ -109,7 +109,7 @@ func recurseBINW(sc *scratch, h *Hypergraph, vid []int32, bound int64, eps float
 		return
 	}
 	sc.seed(splitSeed(seed, 2))
-	side := multilevelBisect(sc, h, balanceIncident, 0.5, eps, false, tr)
+	side := multilevelBisect(sc, h, balanceIncident, 0.5, eps, tr)
 	// Guard against a degenerate bisection leaving one side empty,
 	// which would recurse forever: peel off the heaviest vertex.
 	n0 := 0

@@ -432,7 +432,7 @@ func (b *bisection) refineFM(maxPasses int) {
 // eps, minimizing cut net weight, drawing randomness from sc.rng.
 // Multiple initial-partition trials keep the best result. The returned
 // sides live in sc and stay valid until its next bisection.
-func multilevelBisect(sc *scratch, h *Hypergraph, mode balanceMode, targetFrac, eps float64, noRefine bool, tr obs.Tracer) []int {
+func multilevelBisect(sc *scratch, h *Hypergraph, mode balanceMode, targetFrac, eps float64, tr obs.Tracer) []int {
 	// Concurrent recursion branches each allocate their own track so
 	// their passes do not interleave on one trace row. Observability
 	// only: the partition never depends on the tracer.
@@ -461,9 +461,7 @@ func multilevelBisect(sc *scratch, h *Hypergraph, mode balanceMode, targetFrac, 
 	for trial := 0; trial < trials; trial++ {
 		b.reset(coarsest, bw, targetFrac, eps)
 		b.growInitial(sc)
-		if !noRefine {
-			b.refineFM(4)
-		}
+		b.refineFM(4)
 		if bestCut < 0 || b.cut < bestCut {
 			bestCut = b.cut
 			sc.best = append(sc.best[:0], b.part...)
@@ -486,9 +484,7 @@ func multilevelBisect(sc *scratch, h *Hypergraph, mode balanceMode, targetFrac, 
 			b.part[v] = sc.best[m[v]]
 		}
 		b.setAll()
-		if !noRefine {
-			b.refineFM(3)
-		}
+		b.refineFM(3)
 		sc.best, b.part = b.part, sc.best
 		finalCut = b.cut
 		if traceOn {

@@ -15,9 +15,6 @@ type KWayOptions struct {
 	// split deterministically from this seed, so Workers does not
 	// affect the partition.
 	Seed int64
-	// NoRefine disables FM refinement (coarsen + initial partition
-	// only), for the ablation bench.
-	NoRefine bool
 	// Workers bounds the goroutines used for the independent left and
 	// right sub-bisections of the recursion (≤ 0 = GOMAXPROCS, 1 =
 	// sequential).
@@ -48,7 +45,7 @@ func PartitionKWay(h *Hypergraph, k int, opt KWayOptions) ([]int, error) {
 		vid[i] = int32(i)
 	}
 	pool := newWorkPool(opt.Workers)
-	recurseKWay(new(scratch), h, vid, k, 0, opt.Eps, opt.Seed, pool, part, opt.NoRefine, obs.OrNop(opt.Trace))
+	recurseKWay(new(scratch), h, vid, k, 0, opt.Eps, opt.Seed, pool, part, obs.OrNop(opt.Trace))
 	return part, nil
 }
 
@@ -57,7 +54,7 @@ func PartitionKWay(h *Hypergraph, k int, opt KWayOptions) ([]int, error) {
 // starting at base into out. The two sub-recursions touch disjoint
 // vertex sets (hence disjoint out entries) and run concurrently when
 // the pool has a free worker. sc is the calling goroutine's scratch.
-func recurseKWay(sc *scratch, h *Hypergraph, vid []int32, k, base int, eps float64, seed int64, pool *workPool, out []int, noRefine bool, tr obs.Tracer) {
+func recurseKWay(sc *scratch, h *Hypergraph, vid []int32, k, base int, eps float64, seed int64, pool *workPool, out []int, tr obs.Tracer) {
 	if k == 1 {
 		for _, v := range vid {
 			out[v] = base
@@ -82,15 +79,15 @@ func recurseKWay(sc *scratch, h *Hypergraph, vid []int32, k, base int, eps float
 		levelEps = eps / 1.5
 	}
 	sc.seed(splitSeed(seed, 2))
-	side := multilevelBisect(sc, h, balanceVertex, frac, levelEps, noRefine, tr)
+	side := multilevelBisect(sc, h, balanceVertex, frac, levelEps, tr)
 	h0, vid0 := extractSide(sc, h, vid, side, 0)
 	h1, vid1 := extractSide(sc, h, vid, side, 1)
 	pool.fork(sc,
 		func(sc *scratch) {
-			recurseKWay(sc, h0, vid0, k0, base, eps, splitSeed(seed, 0), pool, out, noRefine, tr)
+			recurseKWay(sc, h0, vid0, k0, base, eps, splitSeed(seed, 0), pool, out, tr)
 		},
 		func(sc *scratch) {
-			recurseKWay(sc, h1, vid1, k1, base+k0, eps, splitSeed(seed, 1), pool, out, noRefine, tr)
+			recurseKWay(sc, h1, vid1, k1, base+k0, eps, splitSeed(seed, 1), pool, out, tr)
 		},
 	)
 }

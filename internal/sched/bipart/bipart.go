@@ -36,27 +36,19 @@ import (
 	"repro/internal/obs/journal"
 )
 
+// The partitioners' balance tolerances: each part of the second-level
+// K-way mapping stays within (1+kwayEps) of its proportional weight
+// target, and each side of a first-level BINW bisection within
+// (1+binwEps) of its target.
+const (
+	kwayEps = 0.05
+	binwEps = 0.20
+)
+
 // Scheduler is the BiPartition scheduler.
 type Scheduler struct {
-	// Epsilon is the second-level (K-way) balance tolerance. New sets
-	// 0.05; zero caps every part at its proportional weight target,
-	// with no slack.
-	Epsilon float64
-	// BINWEpsilon is the first-level (BINW) bisection tolerance. New
-	// sets 0.20; zero caps each side of a bisection at its weight
-	// target, with no slack.
-	BINWEpsilon float64
 	// Seed drives the randomized multilevel partitioner.
 	Seed int64
-	// UseComputeWeightsOnly replaces the Eq. 25–26 probabilistic vertex
-	// weights with plain computation times (for the ablation bench).
-	UseComputeWeightsOnly bool
-	// GreedySubBatch replaces the first-level BINW partition with a
-	// greedy smallest-new-bytes knapsack (for the ablation bench).
-	GreedySubBatch bool
-	// UseLRU swaps the §4.3 popularity eviction for LRU (for the
-	// ablation bench).
-	UseLRU bool
 	// Workers bounds the goroutines of the recursive hypergraph
 	// partitioners (≤ 0 = GOMAXPROCS, 1 = sequential). The schedule is a
 	// pure function of Seed — Workers never changes the result, only
@@ -68,21 +60,16 @@ type Scheduler struct {
 	Trace obs.Tracer
 }
 
-// New returns a BiPartition scheduler with the paper's defaults.
+// New returns a BiPartition scheduler whose partitioner draws from seed.
 func New(seed int64) *Scheduler {
-	return &Scheduler{Epsilon: 0.05, BINWEpsilon: 0.20, Seed: seed}
+	return &Scheduler{Seed: seed}
 }
 
 // Name implements core.Scheduler.
 func (s *Scheduler) Name() string { return "BiPartition" }
 
-// Evict implements core.Scheduler using the §4.3 popularity policy
-// (or LRU when the ablation flag is set).
+// Evict implements core.Scheduler using the §4.3 popularity policy.
 func (s *Scheduler) Evict(st *core.State, pending []batch.TaskID) {
-	if s.UseLRU {
-		eviction.LRU(st, pending)
-		return
-	}
 	eviction.Popularity(st, pending)
 }
 
@@ -155,11 +142,8 @@ func (s *Scheduler) selectSubBatch(st *core.State, pending []batch.TaskID) ([]ba
 	if b.TotalUniqueBytes(pending) <= agg {
 		return pending, nil // everything fits: one sub-batch
 	}
-	if s.GreedySubBatch {
-		return s.greedySubBatch(st, pending, agg), nil
-	}
 	h, _, files := buildHypergraph(st, pending, nil)
-	part, np, err := hypergraph.PartitionBINW(h, agg, hypergraph.BINWOptions{Eps: s.BINWEpsilon, Seed: s.Seed, Workers: s.Workers, Trace: s.Trace})
+	part, np, err := hypergraph.PartitionBINW(h, agg, hypergraph.BINWOptions{Eps: binwEps, Seed: s.Seed, Workers: s.Workers, Trace: s.Trace})
 	if err != nil {
 		return nil, err
 	}
@@ -199,51 +183,12 @@ func (s *Scheduler) selectSubBatch(st *core.State, pending []batch.TaskID) ([]ba
 	return sub, nil
 }
 
-// greedySubBatch is the ablation alternative to BINW: pack tasks in
-// ascending new-bytes order until the aggregate free disk is full.
-func (s *Scheduler) greedySubBatch(st *core.State, pending []batch.TaskID, agg int64) []batch.TaskID {
-	b := st.P.Batch
-	seen := make(map[batch.FileID]bool)
-	var used int64
-	var sub []batch.TaskID
-	remaining := append([]batch.TaskID(nil), pending...)
-	for len(remaining) > 0 {
-		bestIdx := -1
-		var bestNew int64
-		for idx, t := range remaining {
-			var nb int64
-			for _, f := range b.Tasks[t].Files {
-				if !seen[f] {
-					nb += b.FileSize(f)
-				}
-			}
-			if bestIdx < 0 || nb < bestNew {
-				bestIdx, bestNew = idx, nb
-			}
-		}
-		if used+bestNew > agg {
-			break
-		}
-		t := remaining[bestIdx]
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		used += bestNew
-		sub = append(sub, t)
-		for _, f := range b.Tasks[t].Files {
-			seen[f] = true
-		}
-	}
-	if len(sub) == 0 && len(pending) > 0 {
-		sub = pending[:1]
-	}
-	return batch.SortedCopy(sub)
-}
-
 // mapTasks runs the second-level K-way partition on the sub-batch.
 func (s *Scheduler) mapTasks(st *core.State, sub []batch.TaskID) (map[batch.TaskID]int, error) {
 	K := st.P.Platform.NumCompute()
-	weights := s.vertexWeights(st, sub)
+	weights := vertexWeights(st, sub)
 	h, _, _ := buildHypergraph(st, sub, weights)
-	part, err := hypergraph.PartitionKWay(h, K, hypergraph.KWayOptions{Eps: s.Epsilon, Seed: s.Seed + 1, Workers: s.Workers, Trace: s.Trace})
+	part, err := hypergraph.PartitionKWay(h, K, hypergraph.KWayOptions{Eps: kwayEps, Seed: s.Seed + 1, Workers: s.Workers, Trace: s.Trace})
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +201,7 @@ func (s *Scheduler) mapTasks(st *core.State, sub []batch.TaskID) (map[batch.Task
 
 // vertexWeights computes the Eq. 25–26 expected execution times of the
 // sub-batch tasks, scaled to int64 microseconds for the partitioner.
-func (s *Scheduler) vertexWeights(st *core.State, sub []batch.TaskID) []int64 {
+func vertexWeights(st *core.State, sub []batch.TaskID) []int64 {
 	p := st.P
 	b := p.Batch
 	K := float64(p.Platform.NumCompute())
@@ -284,10 +229,6 @@ func (s *Scheduler) vertexWeights(st *core.State, sub []batch.TaskID) []int64 {
 		}
 		for _, f := range task.Files {
 			size := float64(b.FileSize(f))
-			if s.UseComputeWeightsOnly {
-				exec += size * cPerByte
-				continue
-			}
 			sjf := float64(sj[f])
 			probFNE := 1.0 / sjf
 			probFE := (sjf / math.Max(T, 1)) * (1 / K)

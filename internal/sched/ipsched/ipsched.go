@@ -20,21 +20,19 @@ const DefaultNodeBudget = 10
 // is a constant, so the worker count never changes a schedule.
 const dives = 4
 
+// thresh is the load-balance tolerance of the selection stage
+// (Eq. 18): each node's computation stays within (1+thresh) of the
+// mean.
+const thresh = 0.5
+
 // Scheduler is the 0-1 IP scheduler of §4.
 type Scheduler struct {
-	// Strong selects the per-(i,j,ℓ) linking rows instead of the
-	// aggregated ones (tighter LP bound, far larger model).
-	Strong bool
 	// NodeBudget caps the branch-and-bound nodes each portfolio dive
 	// of an allocation IP solve explores; a sub-batch-selection solve
 	// gets half. The incumbent at the limit is used. It is the only IP
 	// budget, so a schedule is the same on any machine. New sets
 	// DefaultNodeBudget; ≤ 0 means DefaultNodeBudget too.
 	NodeBudget int
-	// Thresh is the load-balance tolerance of the selection stage
-	// (Eq. 18): each node's computation stays within (1+Thresh) of the
-	// mean. New sets 0.5; zero demands an exactly even split.
-	Thresh float64
 	// Seed drives the warm-start heuristic's partitioner.
 	Seed int64
 	// Workers is the parallelism of the warm-start partitioner (≤ 0 =
@@ -50,7 +48,7 @@ type Scheduler struct {
 
 // New returns an IP scheduler with the default budget.
 func New(seed int64) *Scheduler {
-	return &Scheduler{NodeBudget: DefaultNodeBudget, Thresh: 0.5, Seed: seed}
+	return &Scheduler{NodeBudget: DefaultNodeBudget, Seed: seed}
 }
 
 // nodeLimit returns the per-dive node limit of an allocation solve; a
@@ -108,7 +106,7 @@ func (s *Scheduler) allocate(st *core.State, sub []batch.TaskID) (*core.SubPlan,
 func (s *Scheduler) allocateOnce(st *core.State, sub []batch.TaskID) (*core.SubPlan, error) {
 	tr := obs.OrNop(s.Trace)
 	ins := buildInstance(st, sub)
-	m, vi := ins.buildAllocationModel(s.Strong)
+	m, vi := ins.buildAllocationModel()
 	opt := mip.Options{NodeLimit: s.nodeLimit(), Workers: dives, Trace: s.Trace}
 	if nodeOf, ok := s.heuristicAssignment(st, sub); ok {
 		opt.WarmStart = ins.warmStart(m, vi, nodeOf)
@@ -200,7 +198,7 @@ func (s *Scheduler) heuristicAssignment(st *core.State, sub []batch.TaskID) ([]i
 func (s *Scheduler) selectSubBatch(st *core.State, pending []batch.TaskID) ([]batch.TaskID, error) {
 	tr := obs.OrNop(s.Trace)
 	ins := buildInstance(st, pending)
-	m, vi := ins.buildSelectionModel(s.Thresh, s.Strong)
+	m, vi := ins.buildSelectionModel()
 	endSolve := tr.Span(obs.TrackSched, "ipsched", "selection IP",
 		obs.A("pending", len(pending)))
 	sol, err := m.Solve(mip.Options{NodeLimit: max(1, s.nodeLimit()/2), Workers: dives, WarmStart: ins.selectionWarmStart(m, vi), Trace: s.Trace})

@@ -188,22 +188,3 @@ func TestClassSplitByPresence(t *testing.T) {
 		t.Fatalf("classes = %d, want 2 (presence differs)", len(ins.classes))
 	}
 }
-
-func TestStrongAndAggregatedAgreeOnTiny(t *testing.T) {
-	p := tinyProblem(t, 6, workload.MediumOverlap, 0)
-	for _, strong := range []bool{false, true} {
-		s := New(8)
-		s.Strong = strong
-		st, err := core.NewState(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := s.PlanSubBatch(st, p.Batch.AllTasks())
-		if err != nil {
-			t.Fatalf("strong=%v: %v", strong, err)
-		}
-		if len(plan.Tasks) != 6 {
-			t.Fatalf("strong=%v: planned %d tasks", strong, len(plan.Tasks))
-		}
-	}
-}

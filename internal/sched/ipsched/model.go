@@ -14,9 +14,9 @@
 // Two value-preserving reductions keep the models tractable for a
 // pure-Go solver: files required by exactly the same task set (and
 // with the same current placement) collapse into super-files, and the
-// per-(i,j,ℓ) linking constraints can be aggregated per (i,ℓ)/(j,ℓ)
-// (weaker LP bound, identical integer feasible set). Both are
-// switchable for the ablation benches.
+// replication linking constraints (1) and (2) are aggregated per
+// (i,ℓ) and (j,ℓ) rather than written per (i,j,ℓ) (weaker LP bound,
+// identical integer feasible set).
 package ipsched
 
 import (
@@ -130,8 +130,8 @@ type varIndex struct {
 }
 
 // buildAllocationModel encodes §4.1's IP (with the §4.2 disk rows) for
-// the instance. strong selects the per-(i,j,ℓ) linking rows.
-func (ins *instance) buildAllocationModel(strong bool) (*mip.Model, *varIndex) {
+// the instance.
+func (ins *instance) buildAllocationModel() (*mip.Model, *varIndex) {
 	m := mip.NewModel()
 	C := ins.C
 	noRep := ins.st.P.DisableReplication
@@ -187,40 +187,18 @@ func (ins *instance) buildAllocationModel(strong bool) (*mip.Model, *varIndex) {
 		}
 
 		for i := 0; i < C; i++ {
-			// (1): replicate out of i only if i stores the class.
+			// (1) aggregated per source i: replicate out of i only if
+			// i stores the class.
 			if !noRep {
-				if strong {
-					for j := 0; j < C; j++ {
-						if vi.y[l][i][j] < 0 {
-							continue
-						}
-						m.AddRow("link1", []mip.Term{{Var: vi.y[l][i][j], Coef: 1}, {Var: vi.x[l][i], Coef: -1}}, mip.LE, 0)
-					}
-				} else {
-					var terms []mip.Term
-					for j := 0; j < C; j++ {
-						if vi.y[l][i][j] >= 0 {
-							terms = append(terms, mip.Term{Var: vi.y[l][i][j], Coef: 1})
-						}
-					}
-					if len(terms) > 0 {
-						terms = append(terms, mip.Term{Var: vi.x[l][i], Coef: -float64(C - 1)})
-						m.AddRow("link1a", terms, mip.LE, 0)
+				var terms []mip.Term
+				for j := 0; j < C; j++ {
+					if vi.y[l][i][j] >= 0 {
+						terms = append(terms, mip.Term{Var: vi.y[l][i][j], Coef: 1})
 					}
 				}
-				// (2): replicate into j only if a task needing the class
-				// runs there.
-				if strong {
-					for j := 0; j < C; j++ {
-						if vi.y[l][i][j] < 0 {
-							continue
-						}
-						terms := []mip.Term{{Var: vi.y[l][i][j], Coef: 1}}
-						for _, k := range cl.req {
-							terms = append(terms, mip.Term{Var: vi.t[k][j], Coef: -1})
-						}
-						m.AddRow("link2", terms, mip.LE, 0)
-					}
+				if len(terms) > 0 {
+					terms = append(terms, mip.Term{Var: vi.x[l][i], Coef: -float64(C - 1)})
+					m.AddRow("link1a", terms, mip.LE, 0)
 				}
 			}
 			// (4): storage on a non-present node comes from exactly its
@@ -235,8 +213,9 @@ func (ins *instance) buildAllocationModel(strong bool) (*mip.Model, *varIndex) {
 				m.AddRow("storage", terms, mip.EQ, 0)
 			}
 		}
-		if !noRep && !strong {
-			// (2) aggregated per destination j.
+		if !noRep {
+			// (2) aggregated per destination j: replicate into j only
+			// if a task needing the class runs there.
 			for j := 0; j < C; j++ {
 				var terms []mip.Term
 				for i := 0; i < C; i++ {
@@ -271,31 +250,16 @@ func (ins *instance) buildAllocationModel(strong bool) (*mip.Model, *varIndex) {
 		}
 	}
 
-	// (7): a task's node stores all its classes.
+	// (7): a task's node stores each of its classes, one row per
+	// (task, node, class). These rows carry most of the LP bound and
+	// stay linear in the pin count.
 	for k := range ins.tasks {
 		for i := 0; i < C; i++ {
-			if strongRows7 || len(ins.access[k]) <= 1 {
-				for _, l := range ins.access[k] {
-					if ins.classes[l].present[i] {
-						continue
-					}
-					m.AddRow("need", []mip.Term{{Var: vi.t[k][i], Coef: 1}, {Var: vi.x[l][i], Coef: -1}}, mip.LE, 0)
-				}
-			} else {
-				var terms []mip.Term
-				cnt := 0.0
-				for _, l := range ins.access[k] {
-					if ins.classes[l].present[i] {
-						continue
-					}
-					terms = append(terms, mip.Term{Var: vi.x[l][i], Coef: 1})
-					cnt++
-				}
-				if cnt == 0 {
+			for _, l := range ins.access[k] {
+				if ins.classes[l].present[i] {
 					continue
 				}
-				terms = append(terms, mip.Term{Var: vi.t[k][i], Coef: -cnt})
-				m.AddRow("need_a", terms, mip.GE, 0)
+				m.AddRow("need", []mip.Term{{Var: vi.t[k][i], Coef: 1}, {Var: vi.x[l][i], Coef: -1}}, mip.LE, 0)
 			}
 		}
 	}
@@ -341,11 +305,6 @@ func (ins *instance) buildAllocationModel(strong bool) (*mip.Model, *varIndex) {
 	}
 	return m, vi
 }
-
-// strongRows7 keeps constraint (7) in its strong per-(k,i,ℓ) form even
-// in aggregated mode: these rows carry most of the LP bound and stay
-// linear in the pin count.
-const strongRows7 = true
 
 // warmStart converts a feasible assignment (task index → node) into a
 // full variable vector for the allocation model: the first needing

@@ -11,8 +11,8 @@ import (
 // (Eq. 14–20): maximize the number of allocated tasks such that every
 // allocated task's files fit its node (15), per-node disk capacity
 // holds (16), no task is allocated twice (17), and per-node
-// computation stays within (1+Thresh) of the average (18–20).
-func (ins *instance) buildSelectionModel(thresh float64, strong bool) (*mip.Model, *varIndex) {
+// computation stays within (1+thresh) of the average (18–20).
+func (ins *instance) buildSelectionModel() (*mip.Model, *varIndex) {
 	m := mip.NewModel()
 	m.SetMaximize()
 	C := ins.C
@@ -70,8 +70,8 @@ func (ins *instance) buildSelectionModel(thresh float64, strong bool) (*mip.Mode
 			m.AddRow(fmt.Sprintf("disk_%d", i), terms, mip.LE, float64(free))
 		}
 	}
-	// (18)–(20): per-node computation within (1+Thresh) of the mean.
-	// C·Comp_i ≤ (1+Thresh)·Σ_j Comp_j, linearized per node.
+	// (18)–(20): per-node computation within (1+thresh) of the mean.
+	// C·Comp_i ≤ (1+thresh)·Σ_j Comp_j, linearized per node.
 	for i := 0; i < C; i++ {
 		var terms []mip.Term
 		for k := range ins.tasks {

@@ -64,30 +64,41 @@ func (o Overlap) fraction(app string) float64 {
 	return 0
 }
 
-// SatConfig parameterizes the SAT emulator. The zero value is filled
-// with the paper's defaults by Sat.
+// The SAT dataset: a satDays × satCellsPerDay grid of
+// satFileSize chunk files (1000 files ≈ 50 GB), queried from
+// satHotspots disjoint hot-spot regions.
+const (
+	satDays        = 20
+	satCellsPerDay = 50
+	satFileSize    = 50 * platform.MB
+	satHotspots    = 4
+)
+
+// satFilesPerTask is the paper's average files per SAT query: ~8 for
+// high-overlap tasks, ~14 for medium and low.
+func satFilesPerTask(o Overlap) int {
+	if o == HighOverlap {
+		return 8
+	}
+	return 14
+}
+
+// SatConfig parameterizes the SAT emulator.
 type SatConfig struct {
-	NumTasks     int
-	Overlap      Overlap
-	NumStorage   int   // storage nodes to decluster over
-	Seed         int64 //
-	Days         int   // dataset extent in days (default 20)
-	CellsPerDay  int   // files per day (default 50 → 1000 files ≈ 50 GB)
-	FileSize     int64 // default 50 MB
-	FilesPerTask int   // average files per task; default depends on Overlap
-	Hotspots     int   // hot-spot regions (default 4)
-	// ComputeFactor converts input bytes to seconds (default paper's
-	// 0.001 s/MB).
-	ComputeFactor float64
+	NumTasks   int
+	Overlap    Overlap
+	NumStorage int // storage nodes to decluster over; ≤ 0 means 4
+	Seed       int64
 }
 
 // Sat generates a satellite-data-processing batch.
 //
-// The dataset is a Days × CellsPerDay grid of chunk files laid out in
-// Hilbert order over a spatial grid per day; queries are contiguous
-// windows in (day, Hilbert-distance) space anchored at one of the
-// hot-spot regions, so tasks directed at the same hot spot request
-// heavily overlapping file sets.
+// The dataset is a satDays × satCellsPerDay grid of chunk files laid
+// out in Hilbert order over a spatial grid per day; queries are
+// contiguous windows in (day, Hilbert-distance) space anchored at one
+// of the hot-spot regions, so tasks directed at the same hot spot
+// request heavily overlapping file sets. A task's computation time is
+// the paper's 0.001 s/MB of its input.
 func Sat(cfg SatConfig) (*batch.Batch, error) {
 	if cfg.NumTasks <= 0 {
 		return nil, fmt.Errorf("workload: NumTasks must be positive")
@@ -95,43 +106,19 @@ func Sat(cfg SatConfig) (*batch.Batch, error) {
 	if cfg.NumStorage <= 0 {
 		cfg.NumStorage = 4
 	}
-	if cfg.Days == 0 {
-		cfg.Days = 20
-	}
-	if cfg.CellsPerDay == 0 {
-		cfg.CellsPerDay = 50
-	}
-	if cfg.FileSize == 0 {
-		cfg.FileSize = 50 * platform.MB
-	}
-	if cfg.FilesPerTask == 0 {
-		// Paper: high overlap tasks access ~8 files on average; medium
-		// and low overlap tasks ~14.
-		if cfg.Overlap == HighOverlap {
-			cfg.FilesPerTask = 8
-		} else {
-			cfg.FilesPerTask = 14
-		}
-	}
-	if cfg.Hotspots == 0 {
-		cfg.Hotspots = 4
-	}
-	if cfg.ComputeFactor == 0 {
-		cfg.ComputeFactor = platform.PaperComputeFactor
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Build the file universe: CellsPerDay spatial cells per day. The
-	// spatial grid is the smallest near-square holding CellsPerDay
-	// cells; file Home follows the Hilbert declustering of that grid,
+	// Build the file universe: satCellsPerDay spatial cells per day.
+	// The spatial grid is the smallest near-square holding
+	// satCellsPerDay cells; file Home follows the Hilbert declustering of that grid,
 	// offset per day so consecutive days do not pile onto node 0.
-	w, h := gridDims(cfg.CellsPerDay)
+	w, h := gridDims(satCellsPerDay)
 	assign := hilbert.Decluster(w, h, cfg.NumStorage)
 	b := batch.New()
-	nFiles := cfg.Days * cfg.CellsPerDay
+	nFiles := satDays * satCellsPerDay
 	fileAt := make([]batch.FileID, nFiles)
 	idx := 0
-	for day := 0; day < cfg.Days; day++ {
+	for day := 0; day < satDays; day++ {
 		// enumerate cells in Hilbert order so that file index order is
 		// spatial-locality order.
 		n := 1
@@ -139,14 +126,14 @@ func Sat(cfg SatConfig) (*batch.Batch, error) {
 			n *= 2
 		}
 		cell := 0
-		for d := 0; d < n*n && cell < cfg.CellsPerDay; d++ {
+		for d := 0; d < n*n && cell < satCellsPerDay; d++ {
 			x, y := hilbert.D2XY(n, d)
 			if x >= w || y >= h {
 				continue
 			}
 			home := (assign[y][x] + day) % cfg.NumStorage
 			name := fmt.Sprintf("sat-d%02d-c%03d", day, cell)
-			fileAt[idx] = b.AddFile(name, cfg.FileSize, home)
+			fileAt[idx] = b.AddFile(name, satFileSize, home)
 			cell++
 			idx++
 		}
@@ -158,8 +145,8 @@ func Sat(cfg SatConfig) (*batch.Batch, error) {
 	gen := overlapGenerator{
 		rng:          rng,
 		pool:         fileAt,
-		groups:       cfg.Hotspots,
-		filesPerTask: cfg.FilesPerTask,
+		groups:       satHotspots,
+		filesPerTask: satFilesPerTask(cfg.Overlap),
 		sharedFrac:   cfg.Overlap.fraction("SAT"),
 	}
 	sets := gen.taskFileSets(cfg.NumTasks)
@@ -168,7 +155,7 @@ func Sat(cfg SatConfig) (*batch.Batch, error) {
 		for _, f := range fs {
 			bytes += b.FileSize(f)
 		}
-		comp := cfg.ComputeFactor * float64(bytes)
+		comp := platform.PaperComputeFactor * float64(bytes)
 		b.AddTask(fmt.Sprintf("sat-q%04d", ti), comp, fs)
 	}
 	if err := b.Finalize(); err != nil {
@@ -177,24 +164,31 @@ func Sat(cfg SatConfig) (*batch.Batch, error) {
 	return compact(b)
 }
 
+// The IMAGE dataset: imagePatients patients with imageStudiesPer
+// studies each, alternating MRI and CT; an MRI study is 32 × 4 MB
+// images and a CT study 2 × 64 MB, so each patient holds ≈1 GB and the
+// dataset ≈2 TB. A task reads imageFilesPerTask images.
+const (
+	imagePatients     = 2000
+	imageStudiesPer   = 8
+	mriSize           = 4 * platform.MB
+	ctSize            = 64 * platform.MB
+	imagesPerMRIStudy = 32
+	imagesPerCTStudy  = 2
+	imageFilesPerTask = 8
+)
+
 // ImageConfig parameterizes the IMAGE emulator.
 type ImageConfig struct {
 	NumTasks   int
 	Overlap    Overlap
-	NumStorage int
+	NumStorage int // storage nodes to distribute over; ≤ 0 means 4
 	Seed       int64
-	Patients   int   // default 2000
-	StudiesPer int   // studies per patient (default 8)
-	MRISize    int64 // default 4 MB
-	CTSize     int64 // default 64 MB
-	// ImagesPerMRIStudy / ImagesPerCTStudy control dataset volume;
-	// defaults give ≈1 GB per patient ⇒ ≈2 TB overall.
-	ImagesPerMRIStudy int
-	ImagesPerCTStudy  int
-	FilesPerTask      int // default 8 (paper: ~8 files per task)
 	// HotGroups fixes the number of hot (patient, study) groups;
 	// 0 derives it from the batch size (≈12 tasks per group).
-	HotGroups     int
+	HotGroups int
+	// ComputeFactor converts a task's input bytes to seconds of
+	// computation; 0 means the paper's 0.001 s/MB.
 	ComputeFactor float64
 	// MaxPatients caps the patients actually materialized as files;
 	// large batches only touch the patients the tasks query, so the
@@ -205,7 +199,7 @@ type ImageConfig struct {
 
 // Image generates a biomedical-image-analysis batch.
 //
-// Each patient has StudiesPer studies, alternating MRI and CT
+// Each patient has imageStudiesPer studies, alternating MRI and CT
 // modalities; a study is a series of image files. A task selects a
 // window of images from one (patient, study) combination. Overlap
 // classes reuse hot (patient, study) combinations across tasks; the
@@ -218,27 +212,6 @@ func Image(cfg ImageConfig) (*batch.Batch, error) {
 	}
 	if cfg.NumStorage <= 0 {
 		cfg.NumStorage = 4
-	}
-	if cfg.Patients == 0 {
-		cfg.Patients = 2000
-	}
-	if cfg.StudiesPer == 0 {
-		cfg.StudiesPer = 8
-	}
-	if cfg.MRISize == 0 {
-		cfg.MRISize = 4 * platform.MB
-	}
-	if cfg.CTSize == 0 {
-		cfg.CTSize = 64 * platform.MB
-	}
-	if cfg.ImagesPerMRIStudy == 0 {
-		cfg.ImagesPerMRIStudy = 32 // 32 × 4 MB = 128 MB per MRI study
-	}
-	if cfg.ImagesPerCTStudy == 0 {
-		cfg.ImagesPerCTStudy = 2 // 2 × 64 MB = 128 MB per CT study
-	}
-	if cfg.FilesPerTask == 0 {
-		cfg.FilesPerTask = 8
 	}
 	if cfg.ComputeFactor == 0 {
 		cfg.ComputeFactor = platform.PaperComputeFactor
@@ -268,8 +241,8 @@ func Image(cfg ImageConfig) (*batch.Batch, error) {
 		default:
 			needPatients = hot
 		}
-		if needPatients > cfg.Patients {
-			needPatients = cfg.Patients
+		if needPatients > imagePatients {
+			needPatients = imagePatients
 		}
 	}
 
@@ -278,12 +251,12 @@ func Image(cfg ImageConfig) (*batch.Batch, error) {
 	files := make([][][]batch.FileID, needPatients)
 	rr := 0
 	for p := 0; p < needPatients; p++ {
-		files[p] = make([][]batch.FileID, cfg.StudiesPer)
-		for s := 0; s < cfg.StudiesPer; s++ {
+		files[p] = make([][]batch.FileID, imageStudiesPer)
+		for s := 0; s < imageStudiesPer; s++ {
 			mri := s%2 == 0
-			n, size, mod := cfg.ImagesPerMRIStudy, cfg.MRISize, "mri"
+			n, size, mod := imagesPerMRIStudy, int64(mriSize), "mri"
 			if !mri {
-				n, size, mod = cfg.ImagesPerCTStudy, cfg.CTSize, "ct"
+				n, size, mod = imagesPerCTStudy, ctSize, "ct"
 			}
 			for im := 0; im < n; im++ {
 				name := fmt.Sprintf("img-p%04d-s%02d-%s-%03d", p, s, mod, im)
@@ -299,16 +272,16 @@ func Image(cfg ImageConfig) (*batch.Batch, error) {
 		// Distinct patient per task: zero overlap.
 		for ti := 0; ti < cfg.NumTasks; ti++ {
 			p := ti % needPatients
-			fs := pickStudyWindow(rng, files[p], cfg.FilesPerTask)
+			fs := pickStudyWindow(rng, files[p], imageFilesPerTask)
 			addImageTask(b, cfg, ti, fs)
 		}
 	} else {
 		// Tasks in a hot group are sliding windows over their hot
 		// patient's date-ordered image sequence (all studies
 		// concatenated), so consecutive queries share most images.
-		pool := make([]batch.FileID, 0, needPatients*cfg.StudiesPer)
+		pool := make([]batch.FileID, 0, needPatients*imageStudiesPer)
 		for p := 0; p < needPatients; p++ {
-			for s := 0; s < cfg.StudiesPer; s++ {
+			for s := 0; s < imageStudiesPer; s++ {
 				pool = append(pool, files[p][s]...)
 			}
 		}
@@ -316,7 +289,7 @@ func Image(cfg ImageConfig) (*batch.Batch, error) {
 			rng:          rng,
 			pool:         pool,
 			groups:       needPatients,
-			filesPerTask: cfg.FilesPerTask,
+			filesPerTask: imageFilesPerTask,
 			sharedFrac:   frac,
 		}
 		for ti, fs := range gen.taskFileSets(cfg.NumTasks) {
