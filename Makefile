@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build vet lint test bench-test race fuzz-short chaos spec-chaos explain-check verify bench bench-scale bench-all bench-parallel profile figures clean
+.PHONY: all help build vet lint test bench-test bench-smoke race fuzz-short chaos spec-chaos explain-check verify bench bench-scale bench-all bench-parallel profile figures clean
 
 all: verify
 
@@ -12,6 +12,7 @@ help:
 	@echo "  make lint          - run schedlint -strict (7 checks + suppression-hygiene audit)"
 	@echo "  make test          - unit tests"
 	@echo "  make bench-test    - the benchmark module's own tests (bench/ is a nested module)"
+	@echo "  make bench-smoke   - each root micro-bench once, so a failing bench is seen"
 	@echo "  make race          - unit tests under the race detector"
 	@echo "  make fuzz-short    - one short iteration of each fuzz target"
 	@echo "  make chaos         - fault-injection suite under -race + the chaos matrix"
@@ -45,6 +46,13 @@ test:
 # bench/ is its own Go module, so the root `go test ./...` skips it.
 bench-test:
 	cd bench && $(GO) test ./...
+
+# Each root micro-bench once (-benchtime 1x, a few seconds): nothing
+# else executes them, so a b.Fatal in one would otherwise go unseen.
+# The numbers are not recorded; `make bench` and bench/ measure.
+bench-smoke:
+	$(GO) test -run='^$$' -benchtime=1x \
+		-bench='^Benchmark(MIPSolve|KWayPartition|BiPartitionPlan|SimplexAssignmentLP|MIPKnapsack|RuntimeStage|WorkloadGeneration)$$' .
 
 # The parallel solver core (mip portfolio, concurrent hypergraph
 # recursion, experiment fan-out) makes the race detector part of the
