@@ -72,7 +72,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"os"
@@ -187,11 +186,9 @@ func main() {
 	}
 
 	// The live plane (-listen) serves every sink, so it turns them all on.
-	var tracer *obs.Trace
 	ob := core.Observer{}
 	if *obsTrace != "" || *obsGantt || *listen != "" {
-		tracer = obs.New()
-		ob.Trace = tracer
+		ob.Trace = obs.New()
 	}
 	if *obsMetrics != "" || *listen != "" {
 		ob.Metrics = obs.NewMetrics()
@@ -206,12 +203,10 @@ func main() {
 		ip := ipsched.New(*seed)
 		ip.NodeBudget = *ipBudget
 		ip.Workers = *workers
-		ip.Trace = ob.Trace
 		sched = ip
 	case "bipartition", "bipart":
 		bp := bipart.New(*seed)
 		bp.Workers = *workers
-		bp.Trace = ob.Trace
 		sched = bp
 	case "minmin":
 		sched = minmin.New()
@@ -227,7 +222,7 @@ func main() {
 	}
 
 	if *listen != "" {
-		srv := introspect.New(introspect.Options{Metrics: ob.Metrics, Journal: ob.Journal, Trace: tracer})
+		srv := introspect.New(introspect.Options{Metrics: ob.Metrics, Journal: ob.Journal, Trace: ob.Trace})
 		go func() {
 			err := srv.ListenAndServe(*listen, func(addr net.Addr) {
 				fmt.Fprintf(os.Stderr, "introspection: serving http://%s/ (/metrics, /events, /journal, /gantt, /debug/pprof/)\n", addr)
@@ -289,22 +284,22 @@ func main() {
 
 	if *obsGantt {
 		fmt.Println()
-		if err := tracer.WriteASCIIGantt(os.Stdout, 100); err != nil {
+		if err := ob.Trace.WriteASCIIGantt(os.Stdout, 100); err != nil {
 			fatal("gantt: %v", err)
 		}
 	}
 	if *obsTrace != "" {
-		if err := writeFile(*obsTrace, tracer.WriteChrome); err != nil {
+		if err := obs.WriteFile(*obsTrace, ob.Trace.WriteChrome); err != nil {
 			fatal("obs-trace: %v", err)
 		}
 	}
 	if *obsMetrics != "" {
-		if err := writeFile(*obsMetrics, ob.Metrics.Snapshot().WriteJSON); err != nil {
+		if err := obs.WriteFile(*obsMetrics, ob.Metrics.Snapshot().WriteJSON); err != nil {
 			fatal("obs-metrics: %v", err)
 		}
 	}
 	if *journalPath != "" {
-		if err := writeFile(*journalPath, ob.Journal.WriteJSONL); err != nil {
+		if err := obs.WriteFile(*journalPath, ob.Journal.WriteJSONL); err != nil {
 			fatal("journal: %v", err)
 		}
 	}
@@ -322,20 +317,6 @@ func main() {
 			<-sig
 		}
 	}
-}
-
-// writeFile creates path and streams write into it, reporting the
-// first error from either.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // usage reports a malformed command line: the message, then the flag

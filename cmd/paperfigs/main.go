@@ -31,6 +31,11 @@
 // error. Rows and journals are identical for a given seed regardless
 // of the worker count, IP cells included.
 //
+// A malformed command line is a usage error: the message and the flag
+// summary go to stderr and the exit status is 2. That covers an
+// unknown -fig, a malformed -faults or -speculate spec, and a negative
+// -workers or -ip-budget; all are checked before any profile starts.
+//
 // -obs-trace records every cell's pipeline phases and simulated
 // reservations into one Chrome trace-event JSON (open in Perfetto);
 // -obs-metrics writes the deterministically merged metric registry of
@@ -58,7 +63,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 3, 4, 5a, 5b, 6, or all")
+	fig := flag.String("fig", "all", "figure to regenerate: 3, 4, 5a, 5b, 6, chaos, or all")
 	quick := flag.Bool("quick", false, "shrink workloads ~10x for a fast smoke run")
 	ipBudget := flag.Int("ip-budget", 0, fmt.Sprintf("branch-and-bound nodes per dive of each IP allocation solve, selection gets half (0 = default: %d, quick %d)", experiments.FullIPBudget, experiments.QuickIPBudget))
 	skipIP := flag.Bool("skip-ip", false, "omit the IP scheduler")
@@ -75,27 +80,42 @@ func main() {
 	runtimeTrace := flag.String("trace", "", "write a Go runtime trace to this file")
 	flag.Parse()
 	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "-workers %d: must be ≥ 0 (0 = all CPUs)\n", *workers)
-		flag.Usage()
-		os.Exit(2)
+		usage("-workers %d: must be ≥ 0 (0 = all CPUs)", *workers)
 	}
 	if *ipBudget < 0 {
-		fmt.Fprintf(os.Stderr, "-ip-budget %d: must be ≥ 0 (0 = default)\n", *ipBudget)
-		flag.Usage()
-		os.Exit(2)
+		usage("-ip-budget %d: must be ≥ 0 (0 = default)", *ipBudget)
+	}
+	runners := map[string]func(experiments.Options) ([]*report.Table, error){
+		"3": experiments.Fig3, "4": experiments.Fig4,
+		"5a": experiments.Fig5a, "5b": experiments.Fig5b,
+		"6": experiments.Fig6, "chaos": experiments.Chaos,
+	}
+	order := []string{*fig}
+	if *fig == "all" {
+		order = []string{"3", "4", "5a", "5b", "6"}
+	} else if _, ok := runners[*fig]; !ok {
+		usage("unknown figure %q (want 3, 4, 5a, 5b, 6, chaos, all)", *fig)
+	}
+	fp, err := faults.Parse(*faultSpec)
+	if err != nil {
+		usage("%v", err)
+	}
+	sp, err := spec.Parse(*specSpec)
+	if err != nil {
+		usage("%v", err)
+	}
+	if sp.Active() && fp == nil {
+		fmt.Fprintln(os.Stderr, "speculate: no fault scenario (-faults); the watchdog threshold is never exceeded and the policy is inert")
 	}
 
 	stopProf, err := obs.Profiles{CPU: *cpuProfile, Mem: *memProfile, Runtime: *runtimeTrace}.Start()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(1)
+		fatal("%v", err)
 	}
 
-	var tracer *obs.Trace
 	ob := core.Observer{}
 	if *obsTrace != "" {
-		tracer = obs.New()
-		ob.Trace = tracer
+		ob.Trace = obs.New()
 	}
 	if *obsMetrics != "" {
 		ob.Metrics = obs.NewMetrics()
@@ -103,50 +123,19 @@ func main() {
 	if *journalPath != "" {
 		ob.Journal = journal.New()
 	}
-
-	fp, err := faults.Parse(*faultSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	sp, err := spec.Parse(*specSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if sp.Active() && fp == nil {
-		fmt.Fprintln(os.Stderr, "speculate: no fault scenario (-faults); the watchdog threshold is never exceeded and the policy is inert")
-	}
-
 	opts := experiments.Options{Quick: *quick, IPBudget: *ipBudget, Seed: *seed, SkipIP: *skipIP, Workers: *workers, Obs: ob, Faults: fp, Spec: sp}
-	runners := map[string]func(experiments.Options) ([]*report.Table, error){
-		"3": experiments.Fig3, "4": experiments.Fig4,
-		"5a": experiments.Fig5a, "5b": experiments.Fig5b,
-		"6": experiments.Fig6, "chaos": experiments.Chaos,
-	}
-	var order []string
-	if *fig == "all" {
-		order = []string{"3", "4", "5a", "5b", "6"}
-	} else if _, ok := runners[*fig]; ok {
-		order = []string{*fig}
-	} else {
-		fmt.Fprintf(os.Stderr, "unknown figure %q (want 3, 4, 5a, 5b, 6, chaos, all)\n", *fig)
-		os.Exit(2)
-	}
 
 	start := time.Now() //schedlint:allow tracepurity wall-clock total reported to the user, never fed back into scheduling
 	for _, f := range order {
 		tables, err := runners[f](opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figure %s: %v\n", f, err)
-			os.Exit(1)
+			fatal("figure %s: %v", f, err)
 		}
 		for _, t := range tables {
 			t.Fprint(os.Stdout)
 			if *csvDir != "" {
 				if err := writeCSV(*csvDir, t); err != nil {
-					fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-					os.Exit(1)
+					fatal("csv: %v", err)
 				}
 			}
 		}
@@ -154,41 +143,36 @@ func main() {
 	fmt.Printf("\ntotal time: %v\n", time.Since(start).Round(time.Second)) //schedlint:allow tracepurity same wall-clock report as above
 
 	if *obsTrace != "" {
-		if err := writeObs(*obsTrace, tracer.WriteChrome); err != nil {
-			fmt.Fprintf(os.Stderr, "obs-trace: %v\n", err)
-			os.Exit(1)
+		if err := obs.WriteFile(*obsTrace, ob.Trace.WriteChrome); err != nil {
+			fatal("obs-trace: %v", err)
 		}
 	}
 	if *obsMetrics != "" {
-		if err := writeObs(*obsMetrics, ob.Metrics.Snapshot().WriteJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "obs-metrics: %v\n", err)
-			os.Exit(1)
+		if err := obs.WriteFile(*obsMetrics, ob.Metrics.Snapshot().WriteJSON); err != nil {
+			fatal("obs-metrics: %v", err)
 		}
 	}
 	if *journalPath != "" {
-		if err := writeObs(*journalPath, ob.Journal.WriteJSONL); err != nil {
-			fmt.Fprintf(os.Stderr, "journal: %v\n", err)
-			os.Exit(1)
+		if err := obs.WriteFile(*journalPath, ob.Journal.WriteJSONL); err != nil {
+			fatal("journal: %v", err)
 		}
 	}
 	if err := stopProf(); err != nil {
-		fmt.Fprintf(os.Stderr, "profile: %v\n", err)
-		os.Exit(1)
+		fatal("profile: %v", err)
 	}
 }
 
-// writeObs creates path and streams write into it, reporting the first
-// error from either.
-func writeObs(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+// usage reports a malformed command line: the message, then the flag
+// summary, then exit status 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
+}
+
+func fatal(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(1)
 }
 
 func writeCSV(dir string, t *report.Table) error {
@@ -205,11 +189,8 @@ func writeCSV(dir string, t *report.Table) error {
 			return -1
 		}
 	}, t.Title)
-	f, err := os.Create(filepath.Join(dir, name+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	t.FprintCSV(f)
-	return nil
+	return obs.WriteFile(filepath.Join(dir, name+".csv"), func(w io.Writer) error {
+		t.FprintCSV(w)
+		return nil
+	})
 }

@@ -30,8 +30,9 @@ type Result struct {
 	// task's retry budget (then StatusDegraded).
 	Status RunStatus
 	// SchedulingTime is the real wall-clock time the scheduler spent
-	// planning (the paper's scheduling overhead; Figure 6(b) reports
-	// it per task).
+	// planning sub-batches and evicting between them, as the run's plan
+	// and evict phase spans measure it (the paper's scheduling
+	// overhead; Figure 6(b) reports it per task).
 	SchedulingTime time.Duration
 	SubBatches     int
 	TaskCount      int
@@ -64,14 +65,15 @@ func (r *Result) SchedulingMSPerTask() float64 {
 // zero value observes nothing at zero cost. Observation is write-only:
 // neither sink ever feeds information back into scheduling, so an
 // observed run commits exactly the schedule an unobserved one does
-// (pinned by TestObservedRunsMatchUnobserved).
+// (pinned by TestObservedRunIdenticalToPlain).
 type Observer struct {
 	// Trace receives spans and instant events from every pipeline
-	// phase; nil means no tracing. Its simulated-time tracks are
-	// projected from the run's journal by TraceJournal (from a private
-	// recorder when Journal is nil), so a Journal given alongside a
-	// Trace must not be shared with concurrent runs.
-	Trace obs.Tracer
+	// phase, the planners' included: the run hands it to the scheduler
+	// on State.Trace. Nil means no tracing. Its simulated-time tracks
+	// are projected from the run's journal by TraceJournal (from a
+	// private recorder when Journal is nil), so a Journal given
+	// alongside a Trace must not be shared with concurrent runs.
+	Trace *obs.Trace
 	// Metrics receives counters/gauges/histograms; nil means none.
 	Metrics *obs.Metrics
 	// Journal receives decision-provenance events (placement
@@ -137,7 +139,7 @@ func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 	}
 	inj := faults.NewInjector(opt.Faults, st.P.Platform.NumCompute())
 	ob := opt.Obs
-	tr := obs.OrNop(ob.Trace)
+	tr := ob.Trace
 	tr.NameTrack(obs.DomainReal, obs.TrackSched, "scheduler ("+s.Name()+")")
 	// Dedupe the pending list and skip already-completed task IDs. The
 	// cleaned list preserves first-occurrence order, so a clean input
@@ -156,16 +158,16 @@ func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 	}
 	pending = clean
 	res := &Result{Scheduler: s.Name(), Status: StatusComplete, TaskCount: len(pending)}
-	// Thread the journal through the state so schedulers and eviction
-	// policies can record rationale. Assigned unconditionally: a
-	// journal-free run on a reused state must not write into a stale
-	// recorder. A traced run without a journal records into a private
-	// one: the simulated-time trace is projected from it.
+	// Thread the journal and the tracer through the state so schedulers
+	// and eviction policies can record rationale and spans. Assigned
+	// unconditionally: a run without them on a reused state must not
+	// write into a stale sink. A traced run without a journal records
+	// into a private one: the simulated-time trace is projected from it.
 	j := ob.Journal
 	if j == nil && tr.Enabled() {
 		j = journal.New()
 	}
-	st.J = j
+	st.J, st.Trace = j, tr
 	// projected indexes the event the next projection starts from. Each
 	// projection ends on a plan or run_end event, which closes the
 	// previous sub-batch; a plan event opens the next one, so the next
@@ -189,23 +191,27 @@ func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 	budget := inj.TaskRetryBudget()
 	for len(pending) > 0 {
 		st.JRound = res.SubBatches
+		// The phase spans time planning and eviction (the Fig 6(b)
+		// overhead); with a nil tracer they still time, recording nothing.
 		endPlan := tr.Span(obs.TrackSched, "phase", "plan",
 			obs.A("pending", len(pending)), obs.A("sub_batch", res.SubBatches))
-		//schedlint:allow nowallclock,tracepurity measures real scheduling overhead (Fig 6(b) metric); never feeds placement decisions
-		t0 := time.Now()
 		plan, err := s.PlanSubBatch(st, pending)
-		elapsed := time.Since(t0) //schedlint:allow nowallclock,tracepurity overhead metric only
+		var outcome []obs.Arg
+		switch {
+		case err != nil:
+			outcome = []obs.Arg{obs.A("error", err.Error())}
+		case plan != nil && len(plan.Tasks) > 0:
+			outcome = []obs.Arg{obs.A("planned_tasks", len(plan.Tasks))}
+		}
+		elapsed := endPlan(outcome...)
 		res.SchedulingTime += elapsed
 		ob.Metrics.Observe("core.plan_ms", elapsed.Seconds()*1000)
 		if err != nil {
-			endPlan(obs.A("error", err.Error()))
 			return nil, fmt.Errorf("core: %s failed to plan a sub-batch with %d tasks pending: %w", s.Name(), len(pending), err)
 		}
 		if plan == nil || len(plan.Tasks) == 0 {
-			endPlan()
 			return nil, fmt.Errorf("core: %s returned an empty sub-batch with %d tasks pending", s.Name(), len(pending))
 		}
-		endPlan(obs.A("planned_tasks", len(plan.Tasks)))
 		for _, t := range plan.Tasks {
 			if !pendingSet[t] {
 				return nil, fmt.Errorf("core: %s planned task %d which is not pending", s.Name(), t)
@@ -261,12 +267,10 @@ func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 		if len(pending) > 0 {
 			st.JRound = res.SubBatches
 			endEvict := tr.Span(obs.TrackSched, "phase", "evict")
-			t0 = time.Now() //schedlint:allow nowallclock,tracepurity overhead metric only
 			s.Evict(st, pending)
-			elapsed = time.Since(t0) //schedlint:allow nowallclock,tracepurity overhead metric only
+			elapsed := endEvict()
 			res.SchedulingTime += elapsed
 			ob.Metrics.Observe("core.evict_ms", elapsed.Seconds()*1000)
-			endEvict()
 		}
 	}
 	res.Evictions = st.Evictions - evictionsBefore

@@ -16,7 +16,7 @@ import (
 // a sub-batch span that the next plan or run_end event closes; a slice
 // ending on an open plan draws that sub-batch on the next call, which
 // is how RunWith feeds it one sub-batch at a time.
-func TraceJournal(tr obs.Tracer, p *platform.Platform, evs []journal.Event) {
+func TraceJournal(tr *obs.Trace, p *platform.Platform, evs []journal.Event) {
 	tr.NameTrack(obs.DomainSim, obs.TrackBatch, "sub-batches")
 	for s := range p.Storage {
 		tr.NameTrack(obs.DomainSim, obs.StorageTrack(s), "storage "+strconv.Itoa(s))
@@ -71,7 +71,7 @@ func TraceJournal(tr obs.Tracer, p *platform.Platform, evs []journal.Event) {
 
 // traceFault draws one fault event: burned windows as "fault" spans on
 // the node's port, interruptions as instants.
-func traceFault(tr obs.Tracer, t float64, f *journal.Fault) {
+func traceFault(tr *obs.Trace, t float64, f *journal.Fault) {
 	task, node := strconv.Itoa(f.Task), obs.ComputeTrack(f.Node)
 	switch f.Class {
 	case journal.FaultTransferFail, journal.FaultBurn:

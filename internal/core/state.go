@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/batch"
+	"repro/internal/obs"
 	"repro/internal/obs/journal"
 )
 
@@ -38,6 +39,10 @@ type State struct {
 	// JRound is the sub-batch ordinal journal events should carry,
 	// maintained by the run loop.
 	JRound int
+	// Trace is the run's tracer, threaded here by the run loop next to
+	// J so schedulers hand it to their partitioner and solver; nil (the
+	// default) traces nothing. Observability only: no schedule reads it.
+	Trace *obs.Trace
 }
 
 // fileCopy is one compute-cluster copy of a file: the node holding it

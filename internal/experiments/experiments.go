@@ -126,7 +126,6 @@ func schedulerSet(o Options) []schedSpec {
 			ip := ipsched.New(o.Seed + 100)
 			ip.NodeBudget = o.IPBudget
 			ip.Workers = o.Workers
-			ip.Trace = o.Obs.Trace
 			return ip
 		}})
 	}
@@ -134,7 +133,6 @@ func schedulerSet(o Options) []schedSpec {
 		schedSpec{name: "BiPartition", make: func() core.Scheduler {
 			bp := bipart.New(o.Seed + 200)
 			bp.Workers = o.Workers
-			bp.Trace = o.Obs.Trace
 			return bp
 		}},
 		schedSpec{name: "MinMin", make: func() core.Scheduler { return minmin.New() }},
@@ -284,7 +282,6 @@ func Fig5a(o Options) ([]*report.Table, error) {
 		}
 		s := bipart.New(o.Seed + 300)
 		s.Workers = o.Workers
-		s.Trace = o.Obs.Trace
 		res, err := run(&core.Problem{Batch: b, Platform: platform.OSUMED(8, 4, 0), DisableReplication: c == 1}, s, ob, o.Faults, o.Spec)
 		if err != nil {
 			return err
@@ -325,7 +322,6 @@ func Fig5b(o Options) ([]*report.Table, error) {
 		{name: "BiPartition", make: func() core.Scheduler {
 			bp := bipart.New(o.Seed + 400)
 			bp.Workers = o.Workers
-			bp.Trace = o.Obs.Trace
 			return bp
 		}},
 		{name: "MinMin", make: func() core.Scheduler { return minmin.New() }},

@@ -67,11 +67,6 @@ func forEachCell(workers, n int, f func(i int) error) error {
 // count. The tracer is passed through shared: its export sorts events
 // canonically, so concurrent recording is safe there too.
 func forEachCellObserved(workers, n int, root core.Observer, f func(i int, ob core.Observer) error) error {
-	if root.Metrics == nil && root.Journal == nil {
-		return forEachCell(workers, n, func(i int) error {
-			return f(i, core.Observer{Trace: root.Trace})
-		})
-	}
 	var cells []*obs.Metrics
 	if root.Metrics != nil {
 		cells = make([]*obs.Metrics, n)

@@ -22,7 +22,7 @@ type BINWOptions struct {
 	// Trace, when non-nil, receives one span per multilevel bisection
 	// (coarsen/initial/refine instants with cut values). Observability
 	// only: the partition never depends on it.
-	Trace obs.Tracer
+	Trace *obs.Trace
 }
 
 // binwLeaf is one finished part of the recursion: the original vertex
@@ -68,7 +68,7 @@ func PartitionBINW(h *Hypergraph, bound int64, opt BINWOptions) ([]int, int, err
 	}
 	c := &binwCollector{}
 	pool := newWorkPool(opt.Workers)
-	recurseBINW(new(scratch), h, vid, bound, opt.Eps, opt.Seed, "", pool, c, obs.OrNop(opt.Trace))
+	recurseBINW(new(scratch), h, vid, bound, opt.Eps, opt.Seed, "", pool, c, opt.Trace)
 	sort.Slice(c.leaves, func(i, j int) bool { return c.leaves[i].path < c.leaves[j].path })
 	for id, leaf := range c.leaves {
 		for _, v := range leaf.vids {
@@ -103,7 +103,7 @@ func incidentTotal(h *Hypergraph) int64 {
 	return sum
 }
 
-func recurseBINW(sc *scratch, h *Hypergraph, vid []int32, bound int64, eps float64, seed int64, path string, pool *workPool, c *binwCollector, tr obs.Tracer) {
+func recurseBINW(sc *scratch, h *Hypergraph, vid []int32, bound int64, eps float64, seed int64, path string, pool *workPool, c *binwCollector, tr *obs.Trace) {
 	if incidentTotal(h) <= bound || h.NumV == 1 {
 		c.add(path, vid)
 		return

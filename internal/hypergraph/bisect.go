@@ -432,13 +432,13 @@ func (b *bisection) refineFM(maxPasses int) {
 // eps, minimizing cut net weight, drawing randomness from sc.rng.
 // Multiple initial-partition trials keep the best result. The returned
 // sides live in sc and stay valid until its next bisection.
-func multilevelBisect(sc *scratch, h *Hypergraph, mode balanceMode, targetFrac, eps float64, tr obs.Tracer) []int {
+func multilevelBisect(sc *scratch, h *Hypergraph, mode balanceMode, targetFrac, eps float64, tr *obs.Trace) []int {
 	// Concurrent recursion branches each allocate their own track so
 	// their passes do not interleave on one trace row. Observability
 	// only: the partition never depends on the tracer.
 	traceOn := tr.Enabled()
 	tid := 0
-	var endSpan obs.EndFunc = func(...obs.Arg) {}
+	var endSpan obs.EndFunc
 	if traceOn {
 		tid = tr.AllocTrack(obs.DomainReal, "bisect")
 		endSpan = tr.Span(tid, "partition", "multilevel bisect",
@@ -492,6 +492,8 @@ func multilevelBisect(sc *scratch, h *Hypergraph, mode balanceMode, targetFrac, 
 				obs.A("level", lev), obs.A("vertices", fine.NumV), obs.A("cut", b.cut))
 		}
 	}
-	endSpan(obs.A("cut", finalCut))
+	if traceOn {
+		endSpan(obs.A("cut", finalCut))
+	}
 	return sc.best
 }

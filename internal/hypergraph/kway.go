@@ -22,7 +22,7 @@ type KWayOptions struct {
 	// Trace, when non-nil, receives one span per multilevel bisection
 	// (coarsen/initial/refine instants with cut values). Observability
 	// only: the partition never depends on it.
-	Trace obs.Tracer
+	Trace *obs.Trace
 }
 
 // PartitionKWay divides h into k parts minimizing the connectivity-1
@@ -45,7 +45,7 @@ func PartitionKWay(h *Hypergraph, k int, opt KWayOptions) ([]int, error) {
 		vid[i] = int32(i)
 	}
 	pool := newWorkPool(opt.Workers)
-	recurseKWay(new(scratch), h, vid, k, 0, opt.Eps, opt.Seed, pool, part, obs.OrNop(opt.Trace))
+	recurseKWay(new(scratch), h, vid, k, 0, opt.Eps, opt.Seed, pool, part, opt.Trace)
 	return part, nil
 }
 
@@ -54,7 +54,7 @@ func PartitionKWay(h *Hypergraph, k int, opt KWayOptions) ([]int, error) {
 // starting at base into out. The two sub-recursions touch disjoint
 // vertex sets (hence disjoint out entries) and run concurrently when
 // the pool has a free worker. sc is the calling goroutine's scratch.
-func recurseKWay(sc *scratch, h *Hypergraph, vid []int32, k, base int, eps float64, seed int64, pool *workPool, out []int, tr obs.Tracer) {
+func recurseKWay(sc *scratch, h *Hypergraph, vid []int32, k, base int, eps float64, seed int64, pool *workPool, out []int, tr *obs.Trace) {
 	if k == 1 {
 		for _, v := range vid {
 			out[v] = base

@@ -136,7 +136,7 @@ type Options struct {
 	// Trace, when non-nil, receives per-worker dive spans and
 	// incumbent-improvement instants. Observability only: the search
 	// never reads it for decisions.
-	Trace obs.Tracer
+	Trace *obs.Trace
 }
 
 func (o Options) withDefaults() Options {

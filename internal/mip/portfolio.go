@@ -111,7 +111,6 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := obs.OrNop(opt.Trace)
 	var warm []float64
 	warmObj := math.Inf(1)
 	if opt.WarmStart != nil {
@@ -133,7 +132,7 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 		if w > 0 {
 			lp = cloneLPBounds(lp0)
 		}
-		s := &search{m: m, lp: lp, opt: opt, bestObj: math.Inf(1), shared: math.Inf(1), ex: ex, root: root, tr: tr, widx: w}
+		s := &search{m: m, lp: lp, opt: opt, bestObj: math.Inf(1), shared: math.Inf(1), ex: ex, root: root, widx: w}
 		if w > 0 {
 			// Deterministic per-worker diversification: a fixed jitter
 			// stream keyed by the worker index reorders the branching,
@@ -155,8 +154,8 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tr.NameTrack(obs.DomainReal, obs.SolverTrack(w), "mip worker "+strconv.Itoa(w))
-			end := tr.Span(obs.SolverTrack(w), "solver", "b&b dive",
+			opt.Trace.NameTrack(obs.DomainReal, obs.SolverTrack(w), "mip worker "+strconv.Itoa(w))
+			end := opt.Trace.Span(obs.SolverTrack(w), "solver", "b&b dive",
 				obs.A("worker", w), obs.A("vars", len(m.obj)))
 			s.run()
 			ex.leave(s.bestObj)

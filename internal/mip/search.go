@@ -42,9 +42,8 @@ type search struct {
 	rootSolved bool
 	hitLimit   bool
 
-	// tr/widx: observability only (per-worker incumbent instants on
-	// the worker's solver track); never consulted for search decisions.
-	tr   obs.Tracer
+	// widx is the worker's index; it names the solver track of the
+	// worker's incumbent instants (observability only).
 	widx int
 
 	// root is the root LP relaxation's result, shared read-only by
@@ -61,12 +60,12 @@ func (s *search) setIncumbent(x []float64, objInternal float64) {
 	if objInternal < s.bestObj-1e-12 {
 		s.bestObj = objInternal
 		s.bestX = append(s.bestX[:0], x[:len(s.m.obj)]...)
-		if s.tr != nil && s.tr.Enabled() {
+		if tr := s.opt.Trace; tr.Enabled() {
 			obj := objInternal
 			if s.m.maximize {
 				obj = -obj
 			}
-			s.tr.Instant(obs.SolverTrack(s.widx), "solver", "incumbent",
+			tr.Instant(obs.SolverTrack(s.widx), "solver", "incumbent",
 				obs.A("obj", obj), obs.A("nodes", s.nodes))
 		}
 	}

@@ -269,35 +269,3 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	}
 	return nil
 }
-
-// WriteCSV writes the snapshot as kind,name,field,value rows sorted by
-// series name.
-func (s Snapshot) WriteCSV(w io.Writer) error {
-	var rows []string
-	for k, v := range s.Counters {
-		rows = append(rows, fmt.Sprintf("counter,%s,value,%d", k, v))
-	}
-	for k, v := range s.Gauges {
-		rows = append(rows, fmt.Sprintf("gauge,%s,value,%g", k, v))
-	}
-	for k, h := range s.Histograms {
-		rows = append(rows, fmt.Sprintf("histogram,%s,count,%d", k, h.Count))
-		rows = append(rows, fmt.Sprintf("histogram,%s,sum,%g", k, h.Sum))
-		rows = append(rows, fmt.Sprintf("histogram,%s,min,%g", k, h.Min))
-		rows = append(rows, fmt.Sprintf("histogram,%s,max,%g", k, h.Max))
-		rows = append(rows, fmt.Sprintf("histogram,%s,mean,%g", k, h.Mean))
-		rows = append(rows, fmt.Sprintf("histogram,%s,p50,%g", k, h.P50))
-		rows = append(rows, fmt.Sprintf("histogram,%s,p95,%g", k, h.P95))
-		rows = append(rows, fmt.Sprintf("histogram,%s,p99,%g", k, h.P99))
-	}
-	sort.Strings(rows)
-	if _, err := fmt.Fprintln(w, "kind,name,field,value"); err != nil {
-		return fmt.Errorf("obs: write metrics csv: %w", err)
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintln(w, r); err != nil {
-			return fmt.Errorf("obs: write metrics csv: %w", err)
-		}
-	}
-	return nil
-}

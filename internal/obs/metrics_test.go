@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -131,19 +130,5 @@ func TestSnapshotWriters(t *testing.T) {
 	}
 	if !bytes.Equal(js.Bytes(), js2.Bytes()) {
 		t.Fatal("metrics JSON not deterministic")
-	}
-
-	var csv bytes.Buffer
-	if err := s.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	out := csv.String()
-	if !strings.HasPrefix(out, "kind,name,field,value\n") {
-		t.Fatalf("csv header missing:\n%s", out)
-	}
-	for _, want := range []string{"counter,remote_bytes,value,1048576", "gauge,makespan_s,value,42", "histogram,plan_ms,count,1"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("csv missing %q:\n%s", want, out)
-		}
 	}
 }

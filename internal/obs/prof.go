@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -69,16 +70,29 @@ func (p Profiles) Start() (stop func() error, err error) {
 			}
 		}
 		if p.Mem != "" {
-			f, err := os.Create(p.Mem)
+			err := WriteFile(p.Mem, func(w io.Writer) error {
+				runtime.GC() // up-to-date allocation statistics
+				return pprof.WriteHeapProfile(w)
+			})
 			if err != nil {
-				return fmt.Errorf("obs: heap profile: %w", err)
-			}
-			defer f.Close()
-			runtime.GC() // up-to-date allocation statistics
-			if err := pprof.WriteHeapProfile(f); err != nil {
 				return fmt.Errorf("obs: heap profile: %w", err)
 			}
 		}
 		return nil
 	}, nil
+}
+
+// WriteFile creates path and streams write into it, reporting the
+// first error from either. The CLIs write every output file through
+// it.
+func WriteFile(path string, write func(w io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

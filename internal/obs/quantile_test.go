@@ -58,36 +58,6 @@ func TestQuantileBounds(t *testing.T) {
 	}
 }
 
-// TestSnapshotGoldenCSV pins the exact writer output, quantile fields
-// included.
-func TestSnapshotGoldenCSV(t *testing.T) {
-	m := NewMetrics()
-	m.Count("ops", 5)
-	for i := 1; i <= 100; i++ {
-		m.Observe("lat", float64(i))
-	}
-	var csv bytes.Buffer
-	if err := m.Snapshot().WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Join([]string{
-		"kind,name,field,value",
-		"counter,ops,value,5",
-		"histogram,lat,count,100",
-		"histogram,lat,max,100",
-		"histogram,lat,mean,50.5",
-		"histogram,lat,min,1",
-		"histogram,lat,p50,50",
-		"histogram,lat,p95,95",
-		"histogram,lat,p99,99",
-		"histogram,lat,sum,5050",
-		"",
-	}, "\n")
-	if csv.String() != want {
-		t.Fatalf("csv output drifted:\n got:\n%s\nwant:\n%s", csv.String(), want)
-	}
-}
-
 // TestSnapshotJSONCarriesQuantiles pins the JSON field names the
 // downstream dashboards key on.
 func TestSnapshotJSONCarriesQuantiles(t *testing.T) {

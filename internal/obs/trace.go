@@ -24,8 +24,11 @@ type event struct {
 	seq    uint64 // recording order, tie-breaker for stable export
 }
 
-// Trace is the collecting Tracer. All methods are safe for concurrent
-// use. The zero value is not usable; construct with New or NewSimOnly.
+// Trace collects the spans and instants of a run. All methods are
+// safe for concurrent use — solver portfolio workers and experiment
+// cells record from many goroutines — and accept a nil receiver,
+// which records nothing. A non-nil Trace must come from New or
+// NewSimOnly.
 type Trace struct {
 	mu      sync.Mutex
 	start   time.Time
@@ -51,12 +54,12 @@ func NewSimOnly() *Trace {
 	return t
 }
 
-func (t *Trace) Enabled() bool { return true }
+// Enabled reports whether t records events at all (t is non-nil);
+// callers use it to skip argument construction on hot paths.
+func (t *Trace) Enabled() bool { return t != nil }
 
-// nowUS returns microseconds since the trace anchor.
-func (t *Trace) nowUS() float64 {
-	return float64(time.Since(t.start)) / float64(time.Microsecond)
-}
+// us converts a duration to the export's microseconds.
+func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 func (t *Trace) record(ev event) {
 	t.mu.Lock()
@@ -66,39 +69,61 @@ func (t *Trace) record(ev event) {
 	t.mu.Unlock()
 }
 
+// Span opens a wall-clock (DomainReal) span on track tid. Calling the
+// returned func ends it and returns its elapsed wall time. The span is
+// timed even when t is nil or simulated-only; it is recorded only when
+// t keeps DomainReal events.
 func (t *Trace) Span(tid int, cat, name string, args ...Arg) EndFunc {
-	if t.simOnly {
-		return nopEnd
-	}
-	begin := t.nowUS()
-	return func(end ...Arg) {
-		all := make([]Arg, 0, len(args)+len(end))
-		all = append(all, args...)
-		all = append(all, end...)
-		t.record(event{domain: DomainReal, tid: tid, phase: 'X', cat: cat, name: name,
-			ts: begin, dur: t.nowUS() - begin, args: all})
+	begin := time.Now()
+	return func(end ...Arg) time.Duration {
+		d := time.Since(begin)
+		if t != nil && !t.simOnly {
+			all := make([]Arg, 0, len(args)+len(end))
+			all = append(all, args...)
+			all = append(all, end...)
+			t.record(event{domain: DomainReal, tid: tid, phase: 'X', cat: cat, name: name,
+				ts: us(begin.Sub(t.start)), dur: us(d), args: all})
+		}
+		return d
 	}
 }
 
+// Instant records a zero-duration wall-clock event on track tid.
 func (t *Trace) Instant(tid int, cat, name string, args ...Arg) {
-	if t.simOnly {
+	if t == nil || t.simOnly {
 		return
 	}
 	t.record(event{domain: DomainReal, tid: tid, phase: 'i', cat: cat, name: name,
-		ts: t.nowUS(), args: args})
+		ts: us(time.Since(t.start)), args: args})
 }
 
+// SimSpan records a completed simulated-time interval [start, end), in
+// simulated seconds, on track tid. The pipeline's only producer is
+// core.TraceJournal, which projects the journal.
 func (t *Trace) SimSpan(tid int, cat, name string, start, end float64, args ...Arg) {
+	if t == nil {
+		return
+	}
 	t.record(event{domain: DomainSim, tid: tid, phase: 'X', cat: cat, name: name,
 		ts: start * 1e6, dur: (end - start) * 1e6, args: args})
 }
 
+// SimInstant marks a point in simulated time on track tid; like
+// SimSpan, only core.TraceJournal calls it in the pipeline.
 func (t *Trace) SimInstant(tid int, cat, name string, ts float64, args ...Arg) {
+	if t == nil {
+		return
+	}
 	t.record(event{domain: DomainSim, tid: tid, phase: 'i', cat: cat, name: name,
 		ts: ts * 1e6, args: args})
 }
 
+// NameTrack labels track tid of domain d in exported traces. Renaming
+// an already-named track is a no-op.
 func (t *Trace) NameTrack(d Domain, tid int, name string) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	m := t.names[d]
@@ -111,7 +136,13 @@ func (t *Trace) NameTrack(d Domain, tid int, name string) {
 	}
 }
 
+// AllocTrack reserves a fresh track id in domain d and names it;
+// concurrent recursion branches (the hypergraph bisections) use it so
+// their spans land on separate tracks. A nil t returns 0.
 func (t *Trace) AllocTrack(d Domain, name string) int {
+	if t == nil {
+		return 0
+	}
 	t.mu.Lock()
 	id := t.nextID
 	t.nextID++

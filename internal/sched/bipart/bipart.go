@@ -54,10 +54,6 @@ type Scheduler struct {
 	// pure function of Seed — Workers never changes the result, only
 	// the wall-clock time to compute it.
 	Workers int
-	// Trace, when non-nil, receives sub-batch-selection and
-	// task-mapping instants plus the partitioners' bisection spans.
-	// Observability only: the schedule never depends on it.
-	Trace obs.Tracer
 }
 
 // New returns a BiPartition scheduler whose partitioner draws from seed.
@@ -75,12 +71,11 @@ func (s *Scheduler) Evict(st *core.State, pending []batch.TaskID) {
 
 // PlanSubBatch implements core.Scheduler.
 func (s *Scheduler) PlanSubBatch(st *core.State, pending []batch.TaskID) (*core.SubPlan, error) {
-	tr := obs.OrNop(s.Trace)
 	sub, err := s.selectSubBatch(st, pending)
 	if err != nil {
 		return nil, err
 	}
-	tr.Instant(obs.TrackSched, "bipart", "sub-batch selected",
+	st.Trace.Instant(obs.TrackSched, "bipart", "sub-batch selected",
 		obs.A("pending", len(pending)), obs.A("selected", len(sub)))
 	assign, err := s.mapTasks(st, sub)
 	if err != nil {
@@ -88,7 +83,7 @@ func (s *Scheduler) PlanSubBatch(st *core.State, pending []batch.TaskID) (*core.
 	}
 	before := len(assign)
 	assign = s.repairDisk(st, sub, assign)
-	tr.Instant(obs.TrackSched, "bipart", "tasks mapped",
+	st.Trace.Instant(obs.TrackSched, "bipart", "tasks mapped",
 		obs.A("mapped", before), obs.A("after_repair", len(assign)))
 	reason := "connectivity-1 K-way partition of the sub-batch hypergraph (Eq. 25–26 expected-time vertex weights)"
 	if len(assign) == 0 {
@@ -143,7 +138,7 @@ func (s *Scheduler) selectSubBatch(st *core.State, pending []batch.TaskID) ([]ba
 		return pending, nil // everything fits: one sub-batch
 	}
 	h, _, files := buildHypergraph(st, pending, nil)
-	part, np, err := hypergraph.PartitionBINW(h, agg, hypergraph.BINWOptions{Eps: binwEps, Seed: s.Seed, Workers: s.Workers, Trace: s.Trace})
+	part, np, err := hypergraph.PartitionBINW(h, agg, hypergraph.BINWOptions{Eps: binwEps, Seed: s.Seed, Workers: s.Workers, Trace: st.Trace})
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +183,7 @@ func (s *Scheduler) mapTasks(st *core.State, sub []batch.TaskID) (map[batch.Task
 	K := st.P.Platform.NumCompute()
 	weights := vertexWeights(st, sub)
 	h, _, _ := buildHypergraph(st, sub, weights)
-	part, err := hypergraph.PartitionKWay(h, K, hypergraph.KWayOptions{Eps: kwayEps, Seed: s.Seed + 1, Workers: s.Workers, Trace: s.Trace})
+	part, err := hypergraph.PartitionKWay(h, K, hypergraph.KWayOptions{Eps: kwayEps, Seed: s.Seed + 1, Workers: s.Workers, Trace: st.Trace})
 	if err != nil {
 		return nil, err
 	}

@@ -40,10 +40,6 @@ type Scheduler struct {
 	// partitioner is worker-invariant and every IP solve runs a fixed
 	// portfolio of dives.
 	Workers int
-	// Trace, when non-nil, is handed down to the IP solver (per-worker
-	// dive spans, incumbent instants) and the warm-start partitioner.
-	// Observability only: the schedule never depends on it.
-	Trace obs.Tracer
 }
 
 // New returns an IP scheduler with the default budget.
@@ -104,14 +100,13 @@ func (s *Scheduler) allocate(st *core.State, sub []batch.TaskID) (*core.SubPlan,
 }
 
 func (s *Scheduler) allocateOnce(st *core.State, sub []batch.TaskID) (*core.SubPlan, error) {
-	tr := obs.OrNop(s.Trace)
 	ins := buildInstance(st, sub)
 	m, vi := ins.buildAllocationModel()
-	opt := mip.Options{NodeLimit: s.nodeLimit(), Workers: dives, Trace: s.Trace}
+	opt := mip.Options{NodeLimit: s.nodeLimit(), Workers: dives, Trace: st.Trace}
 	if nodeOf, ok := s.heuristicAssignment(st, sub); ok {
 		opt.WarmStart = ins.warmStart(m, vi, nodeOf)
 	}
-	endSolve := tr.Span(obs.TrackSched, "ipsched", "allocation IP",
+	endSolve := st.Trace.Span(obs.TrackSched, "ipsched", "allocation IP",
 		obs.A("tasks", len(sub)), obs.A("warm_start", opt.WarmStart != nil))
 	sol, err := m.Solve(opt)
 	if err == nil {
@@ -175,7 +170,6 @@ func (s *Scheduler) allocateOnce(st *core.State, sub []batch.TaskID) (*core.SubP
 func (s *Scheduler) heuristicAssignment(st *core.State, sub []batch.TaskID) ([]int, bool) {
 	bp := bipart.New(s.Seed + 17)
 	bp.Workers = s.Workers
-	bp.Trace = s.Trace
 	assignMap, err := bp.MapForWarmStart(st, sub)
 	if err != nil {
 		return nil, false
@@ -196,12 +190,11 @@ func (s *Scheduler) heuristicAssignment(st *core.State, sub []batch.TaskID) ([]i
 // load-balance tolerance. Falls back to a greedy working-set knapsack
 // when the solver returns nothing usable.
 func (s *Scheduler) selectSubBatch(st *core.State, pending []batch.TaskID) ([]batch.TaskID, error) {
-	tr := obs.OrNop(s.Trace)
 	ins := buildInstance(st, pending)
 	m, vi := ins.buildSelectionModel()
-	endSolve := tr.Span(obs.TrackSched, "ipsched", "selection IP",
+	endSolve := st.Trace.Span(obs.TrackSched, "ipsched", "selection IP",
 		obs.A("pending", len(pending)))
-	sol, err := m.Solve(mip.Options{NodeLimit: max(1, s.nodeLimit()/2), Workers: dives, WarmStart: ins.selectionWarmStart(m, vi), Trace: s.Trace})
+	sol, err := m.Solve(mip.Options{NodeLimit: max(1, s.nodeLimit()/2), Workers: dives, WarmStart: ins.selectionWarmStart(m, vi), Trace: st.Trace})
 	if err != nil {
 		endSolve()
 		return nil, fmt.Errorf("ipsched: selection model: %w", err)

@@ -67,7 +67,7 @@ func TestJournalGoldenTrace(t *testing.T) {
 	j := journal.New()
 	failures := 0
 	for _, scenario := range []string{"none", "harsh"} {
-		for _, s := range traceSchedulers(nil) {
+		for _, s := range traceSchedulers() {
 			fp, err := faults.Parse(scenario)
 			if err != nil {
 				t.Fatal(err)

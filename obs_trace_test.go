@@ -41,19 +41,18 @@ func traceProblem(t *testing.T) *core.Problem {
 	return p
 }
 
-// traceSchedulers instantiates the four schemes with the tracer
-// attached where the scheduler supports one.
-func traceSchedulers(tr obs.Tracer) []struct {
+// traceSchedulers instantiates the four schemes. A run's tracer
+// reaches the planners through the run itself, so none is attached
+// here.
+func traceSchedulers() []struct {
 	name  string
 	sched core.Scheduler
 } {
 	ip := ipsched.New(7)
 	ip.NodeBudget = 100000 // every solve runs to optimality
 	ip.Workers = 4
-	ip.Trace = tr
 	bp := bipart.New(7)
 	bp.Workers = 4
-	bp.Trace = tr
 	return []struct {
 		name  string
 		sched core.Scheduler
@@ -71,18 +70,9 @@ func traceSchedulers(tr obs.Tracer) []struct {
 // bytes are independent of machine speed and worker count.
 // Regenerate with: go test -run TestTraceGolden -update
 func TestTraceGolden(t *testing.T) {
-	for _, s := range traceSchedulers(nil) {
-		// One fresh tracer per scheduler: the tracer passed through
-		// traceSchedulers is per-run state, so rebuild the set each
-		// iteration with only this scheme instrumented.
+	for _, s := range traceSchedulers() {
 		tr := obs.NewSimOnly()
-		var sched core.Scheduler
-		for _, ss := range traceSchedulers(tr) {
-			if ss.name == s.name {
-				sched = ss.sched
-			}
-		}
-		if _, err := core.RunWith(traceProblem(t), sched, core.RunOptions{Obs: core.Observer{Trace: tr}}); err != nil {
+		if _, err := core.RunWith(traceProblem(t), s.sched, core.RunOptions{Obs: core.Observer{Trace: tr}}); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
 		var buf bytes.Buffer
@@ -105,6 +95,48 @@ func TestTraceGolden(t *testing.T) {
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
 			t.Errorf("%s: trace differs from %s (regenerate with -update if the change is intended)", s.name, golden)
+		}
+	}
+}
+
+// TestTracerReachesPlanners checks that a tracer given only through
+// RunOptions reaches the planners: BiPartition's partitioner records
+// its bisections, and IP its solves and their portfolio dives (IP's
+// warm start runs the same partitioner).
+func TestTracerReachesPlanners(t *testing.T) {
+	want := map[string][]string{
+		"bipartition": {"plan", "multilevel bisect"},
+		"ip":          {"plan", "allocation IP", "b&b dive", "multilevel bisect"},
+	}
+	for _, s := range traceSchedulers() {
+		names, ok := want[s.name]
+		if !ok {
+			continue
+		}
+		tr := obs.New()
+		if _, err := core.RunWith(traceProblem(t), s.sched, core.RunOptions{Obs: core.Observer{Trace: tr}}); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteChrome(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			TraceEvents []map[string]any `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		spans := map[string]int{}
+		for _, ev := range out.TraceEvents {
+			if ev["pid"] == float64(obs.DomainReal) && ev["ph"] == "X" {
+				spans[ev["name"].(string)]++
+			}
+		}
+		for _, name := range names {
+			if spans[name] == 0 {
+				t.Errorf("%s: no real-time %q span; recorded spans: %v", s.name, name, spans)
+			}
 		}
 	}
 }
@@ -133,7 +165,7 @@ func simEvents(t *testing.T, b []byte) []map[string]any {
 // WriteJSONL and ReadJSONL, and TraceJournal over the parsed events
 // must reproduce the golden trace's sim-process events.
 func TestTraceFromJournalFile(t *testing.T) {
-	for _, s := range traceSchedulers(nil) {
+	for _, s := range traceSchedulers() {
 		rec := journal.New()
 		p := traceProblem(t)
 		if _, err := core.RunWith(p, s.sched, core.RunOptions{Obs: core.Observer{Journal: rec}}); err != nil {
@@ -169,20 +201,14 @@ func TestTraceFromJournalFile(t *testing.T) {
 // metrics on every hook) must produce the same Result as a plain one.
 // Observation is write-only by construction; this test keeps it so.
 func TestObservedRunIdenticalToPlain(t *testing.T) {
-	for _, plain := range traceSchedulers(nil) {
+	observed := traceSchedulers()
+	for i, plain := range traceSchedulers() {
 		res0, err := core.RunWith(traceProblem(t), plain.sched, core.RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: plain: %v", plain.name, err)
 		}
-		tr := obs.New()
 		met := obs.NewMetrics()
-		var sched core.Scheduler
-		for _, ss := range traceSchedulers(tr) {
-			if ss.name == plain.name {
-				sched = ss.sched
-			}
-		}
-		res1, err := core.RunWith(traceProblem(t), sched, core.RunOptions{Obs: core.Observer{Trace: tr, Metrics: met}})
+		res1, err := core.RunWith(traceProblem(t), observed[i].sched, core.RunOptions{Obs: core.Observer{Trace: obs.New(), Metrics: met}})
 		if err != nil {
 			t.Fatalf("%s: observed: %v", plain.name, err)
 		}
