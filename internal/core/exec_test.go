@@ -258,7 +258,7 @@ func TestStageInputsUnsortedMidPass(t *testing.T) {
 	}
 	e.storageTL[0].Reserve(0, 100) // remote copies wait until 100
 	v := e.tentativeEnv()
-	v.reserve(e.computeTL[0], 5, 5)
+	v.reserve(e.computePort(0), 5, 5)
 	v.setAvail(1, z, 5+gantt.OverlapEps/2)
 	rounds, bad := CheckLazyStaging(func() {
 		if _, err = v.stageInputs([]batch.FileID{z, f, g}, 0, false); err != nil {

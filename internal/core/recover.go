@@ -164,8 +164,8 @@ func (e *executor) burn(node, task int, op *specOp, start, stop float64, detail 
 	} else {
 		file = int(op.file)
 		ps := e.ports(op.file, op.src, op.dst)
-		for _, tl := range ps.tl[:ps.n] {
-			tl.Reserve(start, stop-start)
+		for _, id := range ps.id[:ps.n] {
+			e.tls[id].Reserve(start, stop-start)
 		}
 	}
 	if j := e.st.J; j.Enabled() {
