@@ -92,3 +92,58 @@ func ExecuteBooked(st *State, plan *SubPlan, bookings []Booking) (*ExecStats, er
 	}
 	return e.run()
 }
+
+// IndexTables exposes one executor's commit-epoch memo and its cached
+// tentative env's copy table, so tests can drive both stamps to their
+// wrap.
+type IndexTables struct{ e *executor }
+
+// NewIndexTables returns the tables of a fresh executor over plan.
+func NewIndexTables(st *State, plan *SubPlan) (*IndexTables, error) {
+	e, err := newExecutor(st, plan, false, nil, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	e.tentativeEnv()
+	return &IndexTables{e}, nil
+}
+
+// Memoize memoizes a probe of f onto dst, with transfer completion
+// time tct, in the current epoch.
+func (x *IndexTables) Memoize(f batch.FileID, dst int, tct float64) {
+	x.e.memoPut(f, dst, srcChoice{src: -1, tct: tct})
+}
+
+// Memoized returns the current epoch's memoized TCT of f onto dst.
+func (x *IndexTables) Memoized(f batch.FileID, dst int) (float64, bool) {
+	c, ok := x.e.memoGet(f, dst)
+	return c.tct, ok
+}
+
+// BumpEpoch starts a new commit epoch, as every commit does.
+func (x *IndexTables) BumpEpoch() { x.e.bumpEpoch() }
+
+// SetEpoch sets the commit-epoch counter.
+func (x *IndexTables) SetEpoch(ep uint32) { x.e.epoch = ep }
+
+// AddTentative schedules a tentative copy of f onto n, available at at.
+func (x *IndexTables) AddTentative(f batch.FileID, n int, at float64) {
+	x.e.tentEnv.setAvail(n, f, at)
+}
+
+// Tentative returns the tentative copies of f as (node, availability)
+// pairs in node order.
+func (x *IndexTables) Tentative(f batch.FileID) [][2]float64 {
+	var out [][2]float64
+	for _, c := range x.e.tentEnv.tentHolders(f) {
+		out = append(out, [2]float64{float64(c.node), c.at})
+	}
+	return out
+}
+
+// ResetTentative clears the tentative env for a fresh pass, as every
+// probe does.
+func (x *IndexTables) ResetTentative() { x.e.tentativeEnv() }
+
+// SetGeneration sets the tentative env's generation counter.
+func (x *IndexTables) SetGeneration(g uint32) { x.e.tentEnv.gen = g }
