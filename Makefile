@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build vet lint test bench-test bench-smoke race fuzz-short chaos spec-chaos explain-check verify bench bench-scale bench-all bench-parallel profile figures clean
+.PHONY: all help build vet lint test bench-test bench-smoke race fuzz-short chaos spec-chaos explain-check verify bench bench-pair bench-scale bench-all bench-parallel profile figures clean
 
 all: verify
 
@@ -19,6 +19,7 @@ help:
 	@echo "  make spec-chaos    - speculation suite under -race + a speculated CLI run"
 	@echo "  make explain-check - journal byte-determinism (workers 1 vs 8) + schedexplain smoke"
 	@echo "  make bench         - per-scheduler benches -> BENCH_schedulers.json"
+	@echo "  make bench-pair    - alternating BASE vs working-tree bench runs: wall_s per pair, wins, median delta"
 	@echo "  make bench-scale   - task-decade scaling sweep -> BENCH_scale.json"
 	@echo "  make bench-all     - all benchmarks, one iteration"
 	@echo "  make bench-parallel- workers=1 vs workers=N scaling benches"
@@ -126,6 +127,17 @@ bench:
 		| $(GO) run ./cmd/benchjson -o BENCH_schedulers.json
 	$(GO) test -run='^$$' -bench='^BenchmarkFaultRecovery$$' -benchmem -benchtime=5x \
 		| $(GO) run ./cmd/benchjson -o BENCH_faults.json
+
+# Paired wall_s comparison of revision BASE against the working tree on
+# one bench/ workload: PAIRS alternating `bench/run.sh --trace 0` runs
+# per side, then each pair's wall_s, the change's win count and the
+# median delta (scripts/bench-pair.sh). BENCH_ARGS passes further
+# bench/run.sh flags, e.g. BENCH_ARGS="--seconds 16".
+BASE ?= HEAD
+WORKLOAD ?= image-scale-jdp
+PAIRS ?= 10
+bench-pair:
+	bash scripts/bench-pair.sh $(BASE) $(WORKLOAD) $(PAIRS) $(BENCH_ARGS)
 
 # The DESIGN §14 scaling sweep: task decades 100 -> 100k over the
 # IMAGE workload under MinMin and JobDataPresent — full-pipeline arms
