@@ -163,9 +163,6 @@ type executor struct {
 	planned map[stageKey]Staging
 
 	stats ExecStats
-	// trace, when non-nil, accumulates the committed schedule for
-	// post-hoc validation.
-	trace *gantt.Schedule
 
 	// Fault injection. A nil inj draws no fault (its methods are
 	// nil-safe), so a fault-free run is the zero-fault case of the same
@@ -206,14 +203,13 @@ type executor struct {
 	drainLeft int
 }
 
-// newExecutor prepares one sub-batch for the runtime stage. traced
-// records the committed schedule in e.trace for gantt validation. A
-// non-nil inj injects transfer failures, crashes and stragglers (round,
+// newExecutor prepares one sub-batch for the runtime stage. A non-nil
+// inj injects transfer failures, crashes and stragglers (round,
 // the sub-batch ordinal, is part of every failure's hashed identity);
 // tasks a fault aborted are collected in e.requeued for the caller to
 // re-plan. pol forks speculative twins of straggling executions. Nil
 // inj and pol draw no fault and fork no twin.
-func newExecutor(st *State, plan *SubPlan, traced bool, inj *faults.Injector, round int, pol *spec.Policy) (*executor, error) {
+func newExecutor(st *State, plan *SubPlan, inj *faults.Injector, round int, pol *spec.Policy) (*executor, error) {
 	if len(plan.Tasks) == 0 {
 		return nil, fmt.Errorf("core: empty sub-batch plan")
 	}
@@ -250,20 +246,6 @@ func newExecutor(st *State, plan *SubPlan, traced bool, inj *faults.Injector, ro
 		e.nodeBW[c] = min(p.Platform.Compute[c].NetBW, p.Platform.IntraBW)
 	}
 	nf := p.Batch.NumFiles()
-	if traced {
-		e.trace = &gantt.Schedule{
-			Storage:  e.storageTL,
-			Compute:  e.computeTL,
-			Link:     e.linkTL,
-			DiskCap:  make([]int64, p.Platform.NumCompute()),
-			InitUsed: make([]int64, p.Platform.NumCompute()),
-			InitHeld: make([][]int, p.Platform.NumCompute()),
-		}
-		for n := range p.Platform.Compute {
-			e.trace.DiskCap[n] = p.Platform.Compute[n].DiskSpace
-			e.trace.InitUsed[n] = st.Used(n)
-		}
-	}
 	// Every copy the sub-batch starts with is available at time 0. The
 	// per-file lists share one backing array; each is capped at its own
 	// length, so a list that grows reallocates alone.
@@ -278,9 +260,6 @@ func newExecutor(st *State, plan *SubPlan, traced bool, inj *faults.Injector, ro
 		backing = backing[len(cs):]
 		for i, c := range cs {
 			hs[i].node = c.node
-			if e.trace != nil {
-				e.trace.InitHeld[c.node] = append(e.trace.InitHeld[c.node], f) // f ascends: stays sorted
-			}
 		}
 		e.holders[f] = hs
 	}
@@ -414,20 +393,13 @@ func (e *executor) scheduleTask(t batch.TaskID, commit bool) (float64, error) {
 
 // commitExec books task t's execution [start, start+dur) on node c
 // and records every side effect of a completed task: Done marking,
-// file touches, validator and journal records.
+// file touches and the journal's exec event.
 func (e *executor) commitExec(t batch.TaskID, c int, task *batch.Task, start, dur float64) {
 	e.computeTL[c].Reserve(start, dur)
 	e.st.Done[t] = true
 	e.stats.TasksRun++
 	for _, f := range task.Files {
 		e.st.Touch(c, f, e.base()+start+dur)
-	}
-	if e.trace != nil {
-		inputs := make([]int, len(task.Files))
-		for i, f := range task.Files {
-			inputs[i] = int(f)
-		}
-		e.trace.Tasks = append(e.trace.Tasks, gantt.TaskEvent{Task: int(t), Node: c, Start: start, End: start + dur, Inputs: inputs})
 	}
 	if j := e.st.J; j.Enabled() {
 		b := e.base()

@@ -252,7 +252,7 @@ func TestStageInputsUnsortedMidPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := newExecutor(st, &SubPlan{Tasks: []batch.TaskID{task}, Node: map[batch.TaskID]int{task: 0}}, false, nil, 0, nil)
+	e, err := newExecutor(st, &SubPlan{Tasks: []batch.TaskID{task}, Node: map[batch.TaskID]int{task: 0}}, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ type Booking struct {
 // runtime stage on st, with the given intervals reserved on the
 // sub-batch's fresh timelines first.
 func ExecuteBooked(st *State, plan *SubPlan, bookings []Booking) (*ExecStats, error) {
-	e, err := newExecutor(st, plan, false, nil, 0, nil)
+	e, err := newExecutor(st, plan, nil, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +100,7 @@ type IndexTables struct{ e *executor }
 
 // NewIndexTables returns the tables of a fresh executor over plan.
 func NewIndexTables(st *State, plan *SubPlan) (*IndexTables, error) {
-	e, err := newExecutor(st, plan, false, nil, 0, nil)
+	e, err := newExecutor(st, plan, nil, 0, nil)
 	if err != nil {
 		return nil, err
 	}

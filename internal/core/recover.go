@@ -101,7 +101,7 @@ func (v *schedEnv) commitStaging(f batch.FileID, src, dst int, start float64) (s
 
 		// The attempt dies at failAt: burn the started portion as a
 		// preempted reservation so the recovery schedule stays honest
-		// about port occupancy. No StageEvent is recorded — the file
+		// about port occupancy. No stage event is journaled — the file
 		// never arrived.
 		if failAt < start {
 			failAt = start

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/batch"
@@ -72,7 +73,9 @@ type Observer struct {
 	// on State.Trace. Nil means no tracing. Its simulated-time tracks
 	// are projected from the run's journal by TraceJournal (from a
 	// private recorder when Journal is nil), so a Journal given
-	// alongside a Trace must not be shared with concurrent runs.
+	// alongside a Trace, or to a Checked run (whose checks read the
+	// sub-batch's events back from it), must not be shared with
+	// concurrent runs.
 	Trace *obs.Trace
 	// Metrics receives counters/gauges/histograms; nil means none.
 	Metrics *obs.Metrics
@@ -89,13 +92,15 @@ type Observer struct {
 // schedule validation, observability sinks, and fault injection. The
 // zero value runs the plain pipeline.
 type RunOptions struct {
-	// Checked enables the gantt schedule validator: every sub-batch's
-	// committed schedule is re-checked post hoc (no port reservation
-	// overlap, disk capacity never exceeded, every input file staged
-	// before its task starts) and any violation aborts the run with an
-	// error naming it. Tests use this so that scheduler bugs surface as
-	// invariant violations instead of silently wrong makespans; it
-	// costs one event record per transfer/task.
+	// Checked enables the schedule validator: after every sub-batch,
+	// its port timelines and its journaled stage and exec events are
+	// re-checked post hoc (no port reservation overlap, disk capacity
+	// never exceeded, every input file staged before its task starts)
+	// and any violation aborts the run with an error naming it. Tests
+	// use this so that scheduler bugs surface as invariant violations
+	// instead of silently wrong makespans. It journals the run, into a
+	// private journal when Obs.Journal is nil, so a Journal given with
+	// Checked must not be shared with concurrent runs either.
 	Checked bool
 	// Obs attaches tracing/metrics sinks.
 	Obs Observer
@@ -161,11 +166,14 @@ func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 	// Thread the journal and the tracer through the state so schedulers
 	// and eviction policies can record rationale and spans. Assigned
 	// unconditionally: a run without them on a reused state must not
-	// write into a stale sink. A traced run without a journal records
-	// into a private one: the simulated-time trace is projected from it.
+	// write into a stale sink. A traced or checked run without a
+	// journal records into a private one, which the simulated-time
+	// trace is projected from and the checks read; the State drops it
+	// when the run returns, so a finished run holds no event log.
 	j := ob.Journal
-	if j == nil && tr.Enabled() {
+	if j == nil && (tr.Enabled() || opt.Checked) {
 		j = journal.New()
+		defer func() { st.J = nil }()
 	}
 	st.J, st.Trace = j, tr
 	// projected indexes the event the next projection starts from. Each
@@ -217,19 +225,27 @@ func RunFrom(st *State, s Scheduler, pending []batch.TaskID, opt RunOptions) (*R
 				return nil, fmt.Errorf("core: %s planned task %d which is not pending", s.Name(), t)
 			}
 		}
+		// The sub-batch's events start at its plan event.
+		from := j.Len()
 		j.Emit(journal.Event{T: st.Clock, Kind: journal.KindPlan, Round: res.SubBatches,
 			Plan: &journal.Plan{Sched: s.Name(), Pending: len(pending), Planned: len(plan.Tasks),
 				Pinned: plan.Pinned, PreStages: len(plan.PreStage)}})
 		project()
 		endExec := tr.Span(obs.TrackSched, "phase", "execute",
 			obs.A("tasks", len(plan.Tasks)))
-		e, err := newExecutor(st, plan, opt.Checked, inj, res.SubBatches, opt.Spec)
+		e, err := newExecutor(st, plan, inj, res.SubBatches, opt.Spec)
 		var stats *ExecStats
 		if err == nil {
+			var start *subBatchStart
+			if opt.Checked {
+				start = newSubBatchStart(e)
+			}
 			stats, err = e.run()
-		}
-		if err == nil && opt.Checked {
-			err = e.trace.Err()
+			if err == nil && start != nil {
+				if v := start.validate(j.Since(from)); len(v) > 0 {
+					err = fmt.Errorf("invalid schedule:\n  %s", strings.Join(v, "\n  "))
+				}
+			}
 		}
 		endExec()
 		if err != nil {

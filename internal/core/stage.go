@@ -745,9 +745,8 @@ func (v *schedEnv) place(f batch.FileID, src, dst int, start float64) (slotStart
 
 // commitTransfer reserves and records a transfer of f from src (-1 =
 // f's storage home) onto dst whose slot [start, start+dur) has already
-// been found: disk cache, statistics, validator record and a journal
-// stage event carrying the source alternatives bestSource captured for
-// it (if any).
+// been found: disk cache, statistics and a journal stage event carrying
+// the source alternatives bestSource captured for it (if any).
 func (v *schedEnv) commitTransfer(f batch.FileID, src, dst int, start, dur float64) (float64, error) {
 	e := v.e
 	size := e.st.P.Batch.FileSize(f)
@@ -764,9 +763,6 @@ func (v *schedEnv) commitTransfer(f batch.FileID, src, dst int, start, dur float
 	} else {
 		e.stats.RemoteTransfers++
 		e.stats.RemoteBytes += size
-	}
-	if e.trace != nil {
-		e.trace.Stages = append(e.trace.Stages, gantt.StageEvent{File: int(f), Node: dst, Avail: start + dur, Size: size})
 	}
 	if j := e.st.J; j.Enabled() {
 		cause := "task"
