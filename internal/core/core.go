@@ -62,18 +62,6 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
-// Unlimited reports whether every compute node has unlimited disk, or
-// the aggregate disk can hold one copy of every file in the batch — in
-// either case the sub-batch selection stage degenerates to "the whole
-// batch" (the paper's §4.1 unlimited disk cache space case).
-func (p *Problem) Unlimited() bool {
-	agg := p.Platform.AggregateDiskSpace()
-	if agg < 0 {
-		return true
-	}
-	return p.Batch.TotalUniqueBytes(nil) <= agg
-}
-
 // SourceKind distinguishes the two ways a file reaches a compute node.
 type SourceKind int8
 

@@ -37,9 +37,6 @@ func NewInjector(p *FaultPlan, numCompute int) *Injector {
 	}
 }
 
-// Plan returns the compiled plan with defaults applied.
-func (in *Injector) Plan() FaultPlan { return in.plan }
-
 // MaxTransferRetries returns the per-staging attempt bound: one
 // attempt on a nil Injector, whose transfers never fail.
 func (in *Injector) MaxTransferRetries() int {

@@ -80,9 +80,6 @@ func (m *Model) AddRow(name string, terms []Term, sense Sense, rhs float64) {
 // NumVars returns the number of variables added so far.
 func (m *Model) NumVars() int { return len(m.obj) }
 
-// NumRows returns the number of constraints added so far.
-func (m *Model) NumRows() int { return len(m.rows) }
-
 // Status describes the solve outcome.
 type Status int
 
