@@ -78,6 +78,7 @@ type Config struct {
 // repository: everything between problem input and committed schedule.
 var DefaultDeterministicPaths = []string{
 	"repro/internal/mip",
+	"repro/internal/simplex",
 	"repro/internal/hypergraph",
 	"repro/internal/sched",
 	"repro/internal/gantt",
