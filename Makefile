@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build vet lint test bench-test bench-smoke race fuzz-short chaos spec-chaos explain-check verify bench bench-pair bench-scale bench-all bench-parallel profile figures clean
+.PHONY: all help build vet lint test bench-test bench-smoke race fuzz-short chaos spec-chaos explain-check verify bench-pair bench-scale bench-all bench-parallel profile figures clean
 
 all: verify
 
@@ -18,7 +18,6 @@ help:
 	@echo "  make chaos         - fault-injection suite under -race + the chaos matrix"
 	@echo "  make spec-chaos    - speculation suite under -race + a speculated CLI run"
 	@echo "  make explain-check - journal byte-determinism (workers 1 vs 8) + schedexplain smoke"
-	@echo "  make bench         - per-scheduler benches -> BENCH_schedulers.json"
 	@echo "  make bench-pair    - alternating BASE vs working-tree bench runs: wall_s per pair, wins, median delta"
 	@echo "  make bench-scale   - task-decade scaling sweep -> BENCH_scale.json"
 	@echo "  make bench-all     - all benchmarks, one iteration"
@@ -50,7 +49,7 @@ bench-test:
 
 # Each root micro-bench once (-benchtime 1x, a few seconds): nothing
 # else executes them, so a b.Fatal in one would otherwise go unseen.
-# The numbers are not recorded; `make bench` and bench/ measure.
+# The numbers are not recorded; bench/ measures.
 bench-smoke:
 	$(GO) test -run='^$$' -benchtime=1x \
 		-bench='^Benchmark(MIPSolve|KWayPartition|BiPartitionPlan|SimplexAssignmentLP|MIPKnapsack|RuntimeStage|WorkloadGeneration)$$' .
@@ -116,17 +115,6 @@ explain-check:
 	$(GO) run ./cmd/schedexplain -journal chaos_journal_w1.jsonl -critical > /dev/null
 
 verify: build vet lint test race fuzz-short explain-check
-
-# One timed pipeline run per scheduling scheme, parsed into
-# BENCH_schedulers.json (per-scheme ns/op, allocs/op, simulated
-# makespan) so CI can archive the performance trajectory; the fault/
-# speculation arms land in BENCH_faults.json with the wasted_compute_s
-# and spec_wins columns alongside.
-bench:
-	$(GO) test -run='^$$' -bench='^BenchmarkSchedulers$$' -benchmem -benchtime=5x \
-		| $(GO) run ./cmd/benchjson -o BENCH_schedulers.json
-	$(GO) test -run='^$$' -bench='^BenchmarkFaultRecovery$$' -benchmem -benchtime=5x \
-		| $(GO) run ./cmd/benchjson -o BENCH_faults.json
 
 # Paired wall_s comparison of revision BASE against the working tree on
 # one bench/ workload: PAIRS alternating `bench/run.sh --trace 0` runs

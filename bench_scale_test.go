@@ -71,6 +71,21 @@ func BenchmarkScale(b *testing.B) {
 	}
 }
 
+// runScheduler runs the whole pipeline b.N times and reports the last
+// run's makespan under metric.
+func runScheduler(b *testing.B, p *core.Problem, s core.Scheduler, metric string) {
+	b.Helper()
+	var last float64
+	for i := 0; i < b.N; i++ {
+		res, err := core.RunWith(p, s, core.RunOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = res.Makespan
+	}
+	b.ReportMetric(last, metric)
+}
+
 // BenchmarkScalePlan isolates the planner: a single PlanSubBatch call
 // over the whole batch (unlimited disk, so every scheme plans all
 // tasks in one sub-batch), no executor. The incremental MinMin

@@ -8,17 +8,12 @@ import (
 	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/faults"
 	"repro/internal/hypergraph"
 	"repro/internal/mip"
 	"repro/internal/platform"
 	"repro/internal/report"
 	"repro/internal/sched/bipart"
-	"repro/internal/sched/ipsched"
-	"repro/internal/sched/jdp"
-	"repro/internal/sched/minmin"
 	"repro/internal/simplex"
-	"repro/internal/spec"
 	"repro/internal/workload"
 )
 
@@ -61,105 +56,6 @@ func BenchmarkFig5b(b *testing.B) { benchFigure(b, experiments.Fig5b) }
 // BenchmarkFig6 regenerates Figure 6(a) and 6(b) (compute-node sweep:
 // batch time and per-task scheduling overhead).
 func BenchmarkFig6(b *testing.B) { benchFigure(b, experiments.Fig6) }
-
-// BenchmarkSchedulers times one full pipeline run per scheme per
-// task-count decade on the same IMAGE workload family, reporting
-// wall-clock (ns/op), allocations (allocs/op, B/op) and the simulated
-// makespan. `make bench` parses this output into
-// BENCH_schedulers.json (see cmd/benchjson), giving CI a comparable
-// per-scheme scaling trajectory across commits.
-func BenchmarkSchedulers(b *testing.B) {
-	for _, scheme := range []struct {
-		name string
-		mk   func() core.Scheduler
-	}{
-		{"IP", func() core.Scheduler { return ipsched.New(3) }},
-		{"BiPartition", func() core.Scheduler { return bipart.New(3) }},
-		{"MinMin", func() core.Scheduler { return minmin.New() }},
-		{"JobDataPresent", func() core.Scheduler { return jdp.New() }},
-	} {
-		for _, tasks := range []int{10, 100} {
-			b.Run(fmt.Sprintf("%s/tasks=%d", scheme.name, tasks), func(b *testing.B) {
-				p := benchProblem(b, tasks)
-				b.ReportAllocs()
-				runScheduler(b, p, scheme.mk(), "makespan_s")
-			})
-		}
-	}
-}
-
-// BenchmarkFaultRecovery times the fault-tolerant runtime on one
-// IMAGE workload under three arms: fault-free, the harsh preset (MTTF
-// shrunk into the quick makespan so crashes actually land), and harsh
-// with the single-fork speculation watchdog armed. Besides wall-clock
-// it reports the simulated makespan, the wasted compute (failed,
-// crashed and cancelled-speculative port time) and the speculation
-// outcome counters, so `make bench` archives the cost of recovery —
-// wasted_compute_s, spec_wins — next to the scaling trajectories.
-func BenchmarkFaultRecovery(b *testing.B) {
-	for _, arm := range []struct {
-		name  string
-		plan  string
-		polic string
-	}{
-		{"none", "", ""},
-		{"harsh", "harsh,mttf=25", ""},
-		{"harsh+spec", "harsh,mttf=25", "single-fork:0.86"},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			p := benchProblem(b, 100)
-			fp, err := faults.Parse(arm.plan)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sp, err := spec.Parse(arm.polic)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			var last *core.Result
-			for i := 0; i < b.N; i++ {
-				res, err := core.RunWith(p, minmin.New(), core.RunOptions{Faults: fp, Spec: sp})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.Makespan, "makespan_s")
-			b.ReportMetric(last.WastedSeconds+last.SpecWastedSeconds, "wasted_compute_s")
-			b.ReportMetric(float64(last.SpecLaunches), "spec_launches")
-			b.ReportMetric(float64(last.SpecWins), "spec_wins")
-		})
-	}
-}
-
-// benchProblem is an IMAGE high-overlap batch of the given size on a
-// 4+4-node XIO platform with unlimited disk.
-func benchProblem(b *testing.B, tasks int) *core.Problem {
-	b.Helper()
-	bt, err := workload.Image(workload.ImageConfig{NumTasks: tasks, Overlap: workload.HighOverlap, NumStorage: 4, Seed: 5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := &core.Problem{Batch: bt, Platform: platform.XIO(4, 4, 0)}
-	if err := p.Validate(); err != nil {
-		b.Fatal(err)
-	}
-	return p
-}
-
-func runScheduler(b *testing.B, p *core.Problem, s core.Scheduler, metric string) {
-	b.Helper()
-	var last float64
-	for i := 0; i < b.N; i++ {
-		res, err := core.RunWith(p, s, core.RunOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res.Makespan
-	}
-	b.ReportMetric(last, metric)
-}
 
 // --- Parallel-core scaling benches ------------------------------------
 //

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	go test -bench=BenchmarkSchedulers -benchmem -benchtime=1x | benchjson -o BENCH_schedulers.json
+//	go test -bench='^BenchmarkScale(Plan)?$' -benchmem -benchtime=1x | benchjson -o BENCH_scale.json
 //
 // Non-benchmark lines (goos/goarch headers, PASS, ok) pass through
 // untouched to stdout so the human-readable output survives the pipe;
@@ -15,8 +15,8 @@
 // the trajectory per scheduler per task count without re-parsing
 // names:
 //
-//	{"name": "BenchmarkSchedulers/IP/tasks=100-8", "iterations": 1,
-//	 "params": {"gomaxprocs": "8", "tasks": "100"},
+//	{"name": "BenchmarkScale/MinMin/tasks=1000-8", "iterations": 1,
+//	 "params": {"gomaxprocs": "8", "tasks": "1000"},
 //	 "metrics": {"ns/op": 1.2e8, "B/op": 3.4e6, "allocs/op": 5678, "makespan_s": 2.95}}
 package main
 
